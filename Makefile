@@ -3,7 +3,7 @@ GO ?= go
 # benchmark run from being committed as a valid snapshot.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: build test race bench bench-smoke bench-gate vet live-smoke dist-smoke savepoint-smoke profile-live
+.PHONY: build test race bench bench-smoke bench-gate vet live-smoke dist-smoke savepoint-smoke profile-live perfbench-test
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ test: vet
 # whole tree under the race detector.
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark (perfbench/) is a Go module of its own, so
+# the root ./... never compiles it; vet and test it in place so a
+# change to the APIs it drives cannot break it unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run the benchmark suite and append a BENCH_<n>.json snapshot (date,
 # go version, ns/op, allocs/op, custom metrics) — the repo's perf

@@ -216,15 +216,7 @@ func main() {
 		return
 	}
 
-	// eng is the control seam both deployments implement; the rest of
-	// the command drives a 2-worker cluster and a single-process job
-	// identically.
-	var (
-		eng               ds2.LiveEngine
-		rescales          func() int
-		workerAddrs       []string
-		workerMetricsURLs []string
-	)
+	var workerAddrs, workerMetricsURLs []string
 	if *workers > 0 {
 		// Workers serve their own /metrics when anything downstream
 		// consumes them: the parent's exporter (federation) or the
@@ -232,63 +224,51 @@ func main() {
 		withMetrics := reg != nil || *requireWorkerMetrics != ""
 		addrs, maddrs, release := spawnDistWorkers(*workers, *workload, *rate1, *rate2, *step, *seed, withMetrics)
 		defer release()
-		var cluster *ds2.LiveCluster
-		var err error
-		if *restoreFrom != "" {
-			store, name, serr := savepointAt(*restoreFrom)
-			if serr != nil {
-				log.Fatal(serr)
-			}
-			cluster, err = ds2.NewLiveClusterFromSavepoint(pipeline, *workload, initial, addrs, ds2.LiveJobConfig{Metrics: reg}, store, name)
-			if err == nil {
-				fmt.Printf("restored from savepoint %s\n", *restoreFrom)
-			}
-		} else {
-			cluster, err = ds2.NewLiveCluster(pipeline, *workload, initial, addrs, ds2.LiveJobConfig{Metrics: reg})
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cluster.Close()
-		defer cluster.Stop()
-		eng, rescales = cluster, cluster.Rescales
 		workerAddrs, workerMetricsURLs = addrs, maddrs
 		fmt.Printf("distributed over %d worker processes: %s\n", *workers, strings.Join(addrs, " "))
-	} else {
-		var job *ds2.LiveJob
-		var err error
-		if *restoreFrom != "" {
-			store, name, serr := savepointAt(*restoreFrom)
-			if serr != nil {
-				log.Fatal(serr)
-			}
-			job, err = ds2.NewLiveJobFromSavepoint(pipeline, initial, ds2.LiveJobConfig{Metrics: reg}, store, name)
-			if err == nil {
-				fmt.Printf("restored from savepoint %s\n", *restoreFrom)
-			}
-		} else {
-			job, err = ds2.NewLiveJob(pipeline, initial, ds2.LiveJobConfig{Metrics: reg})
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer job.Stop()
-		eng, rescales = job, job.Rescales
 	}
+	// One engine either way: the job runs in this process, or over the
+	// worker processes when there are any.
+	jobCfg := ds2.LiveJobConfig{Metrics: reg}
+	var job *ds2.LiveJob
+	var err error
+	switch {
+	case *restoreFrom != "":
+		store, name, serr := savepointAt(*restoreFrom)
+		if serr != nil {
+			log.Fatal(serr)
+		}
+		if *workers > 0 {
+			job, err = ds2.NewLiveClusterFromSavepoint(pipeline, *workload, initial, workerAddrs, jobCfg, store, name)
+		} else {
+			job, err = ds2.NewLiveJobFromSavepoint(pipeline, initial, jobCfg, store, name)
+		}
+		if err == nil {
+			fmt.Printf("restored from savepoint %s\n", *restoreFrom)
+		}
+	case *workers > 0:
+		job, err = ds2.NewLiveCluster(pipeline, *workload, initial, workerAddrs, jobCfg)
+	default:
+		job, err = ds2.NewLiveJob(pipeline, initial, jobCfg)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer job.Close()
+	defer job.Stop()
 
 	fmt.Printf("== ds2-live %s: %g → %g records/s at t=%gs, interval %gs, optimum %s ==\n",
 		*workload, *rate1, *rate2, *step, *interval, optimal)
 
-	// The engine adapter both control modes drive; with -savepoint-dir
-	// it also executes savepoint requests into the store.
-	rt := ds2.NewLiveEngineRuntime(eng)
+	// The adapter both control modes drive; with -savepoint-dir it also
+	// executes savepoint requests into the store.
+	rt := ds2.NewLiveRuntime(job)
 	if spStore != nil {
 		rt.SavepointTo(spStore, "savepoint")
 	}
 	var savepoints []ds2.SavepointRecord
 
 	var trace ds2.Trace
-	var err error
 	serviceBase := ""
 	switch {
 	case *addr != "" || *serveInproc:
@@ -413,13 +393,13 @@ func main() {
 			finishProfiles()
 			os.Exit(2)
 		}
-		if rescales() < 1 {
+		if job.Rescales() < 1 {
 			fmt.Fprintln(os.Stderr, "ds2-live: FAIL: the live job performed no redeployment")
 			finishProfiles()
 			os.Exit(2)
 		}
 		fmt.Printf("OK: %d decision(s) applied and acked, %d live redeployment(s)\n",
-			trace.Decisions, rescales())
+			trace.Decisions, job.Rescales())
 	}
 	if *requireMetrics != "" {
 		want := strings.Split(*requireMetrics, ",")
@@ -441,10 +421,7 @@ func main() {
 			len(workerMetricsURLs), len(want))
 	}
 	if *requireRescaleTrace {
-		phases := []string{"drain", "snapshot", "restart", "first_record"}
-		if *workers > 0 {
-			phases = []string{"drain", "snapshot", "router_rebuild", "transfer", "restart", "first_record"}
-		}
+		phases := []string{"drain", "snapshot", "router_rebuild", "transfer", "restart", "first_record"}
 		if err := assertRescaleTrace(serviceBase, phases); err != nil {
 			fmt.Fprintln(os.Stderr, "ds2-live: FAIL:", err)
 			finishProfiles()

@@ -488,8 +488,9 @@ type LiveJob = streamrt.Job
 // threshold, jitter tolerance, latency sampling).
 type LiveJobConfig = streamrt.Config
 
-// LiveRuntime adapts a LiveJob to the Controller (controlloop.Runtime)
-// and to the scaling service's engine side (AttachedEngine) at once.
+// LiveRuntime adapts a LiveJob — in-process or distributed — to the
+// Controller (controlloop.Runtime) and to the scaling service's engine
+// side (AttachedEngine) at once.
 type LiveRuntime = streamrt.Runtime
 
 // LiveInterval is one observation window of a live job.
@@ -536,15 +537,9 @@ type LiveStateCodec = streamrt.StateCodec
 // whatever operator instances the cluster coordinator places on it.
 type LiveWorker = streamrt.Worker
 
-// LiveCluster coordinates a pipeline deployed across worker
-// processes. It implements LiveEngine, so the Controller and ds2d
-// drive it exactly like a single-process LiveJob.
+// LiveCluster is a LiveJob deployed across worker processes — the
+// same engine, so NewLiveRuntime and AttachLiveJob take either.
 type LiveCluster = streamrt.Cluster
-
-// LiveEngine is the seam the control loop drives: pace and cut
-// observation windows, redeploy, report the deployed configuration.
-// Both *LiveJob and *LiveCluster implement it.
-type LiveEngine = streamrt.Engine
 
 // LiveLinkStats is one worker-to-worker link's cumulative traffic
 // counters (bytes, frames, credit stalls per direction).
@@ -567,18 +562,6 @@ func NewLiveCluster(p *LivePipeline, workload string, initial Parallelism, addrs
 // way the cluster coordinator does: instance k to worker k mod W.
 func PlanLivePlacement(par Parallelism, workers int) map[string][]int {
 	return streamrt.PlanPlacement(par, workers)
-}
-
-// NewLiveEngineRuntime wraps any live engine — in particular a
-// *LiveCluster — for the Controller or a ds2d attachment.
-func NewLiveEngineRuntime(e LiveEngine) *LiveRuntime {
-	return streamrt.NewEngineRuntime(e)
-}
-
-// AttachLiveEngine registers any live engine with a ds2d scaling
-// service — the multi-process counterpart of AttachLiveJob.
-func AttachLiveEngine(c *ScalingClient, eng LiveEngine, spec JobSpec) *AttachedJob {
-	return streamrt.AttachEngine(c, eng, spec)
 }
 
 // AttachedEngine is the engine side of Fig. 5 for any locally running
@@ -638,10 +621,6 @@ type LiveMemoryStore = streamrt.MemoryStore
 // LiveDirStore is a directory-backed checkpoint store using the
 // write-fsync-rename atomic-publish idiom.
 type LiveDirStore = streamrt.DirStore
-
-// LiveSavepointer is the savepoint surface *LiveJob and *LiveCluster
-// share: drain, persist to the store under name, restart.
-type LiveSavepointer = streamrt.Savepointer
 
 // SavepointEngine is the optional AttachedEngine extension for engines
 // that can cut durable checkpoints on the service's request.

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ds2/internal/dataflow"
@@ -22,7 +21,7 @@ import (
 // drained keyed state plus the source sequence counters — made
 // durable: encoded with the operators' StateCodecs into one versioned,
 // CRC-guarded binary blob and handed to a CheckpointStore. Restoring
-// deploys a fresh Job/Cluster from that blob; because the sources are
+// deploys a fresh Job from that blob; because the sources are
 // deterministic generators and the counters are persisted, the
 // restored job resumes the sequence space exactly where the savepoint
 // cut it — no record replayed, none skipped — at whatever operator
@@ -449,58 +448,46 @@ func (j *Job) Savepoint(store CheckpointStore, name string) error {
 	j.savepoints++
 	tr := j.obs.beginSavepointTrace(j.savepoints)
 	t0 := time.Now()
-	var dep *deployment
-	tr.phase(phaseDrain, func(uint64) { dep = j.stopLocked() })
-	var states map[string]map[string]any
-	var enc map[string]map[string][]byte
-	var err error
-	tr.phase(phaseSnapshot, func(uint64) {
-		states = j.snapshotStates(dep)
-		enc, err = encodeStates(j.pipe, states)
-	})
-	if err == nil {
+	err := j.cycleLocked(j.cur, tr, func(ds []drained, states map[string]map[string]any) (err error) {
 		tr.phase(phasePersist, func(uint64) {
+			var enc map[string]map[string][]byte
+			if enc, err = encodeStates(j.pipe, states); err != nil {
+				return
+			}
 			sp := &savepointData{
-				Workers:  1,
+				Workload: j.workload,
+				Workers:  len(j.handles),
 				SeqBlock: j.cfg.SourceSeqBlock,
 				Elapsed:  j.Now(),
-				Seqs:     make(map[string][]int64, len(j.seqs)),
+				Seqs:     rankSeqs(j.pipe, j.cur, ds),
 				States:   enc,
-			}
-			for src, p := range j.seqs {
-				sp.Seqs[src] = []int64{atomic.LoadInt64(p)}
 			}
 			err = store.Save(name, encodeSavepoint(sp))
 		})
-	}
-	tr.phase(phaseRestart, func(uint64) { j.deployLocked(states) })
-	j.winStart = j.Now()
+		return err
+	})
 	if h := j.obs.savepointHist(); h != nil {
 		h.Observe(time.Since(t0).Seconds())
-	}
-	if tr != nil {
-		restartEnd := tr.now()
-		first := j.dep.first
-		go func() {
-			at, ok := first.wait(firstRecordWait)
-			tr.finish(restartEnd, at, ok)
-		}()
 	}
 	return err
 }
 
-// restoreStates decodes persisted per-key state through the pipeline's
-// StateCodecs. User codecs may panic on bytes they never wrote (a
-// savepoint from an older state layout passes the CRC but not the
-// codec); the recover turns that into a restore error instead of
-// taking the process down.
-func restoreStates(pipe *Pipeline, enc map[string]map[string][]byte) (states map[string]map[string]any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			states, err = nil, fmt.Errorf("streamrt: savepoint: decoding operator state: %v", r)
+// rankSeqs assembles the per-rank source counters of a just-drained
+// generation: rank r of a source is the r'th (sorted) worker hosting it
+// under the generation's placement, and its counter is that worker's
+// drained local count.
+func rankSeqs(pipe *Pipeline, par dataflow.Parallelism, ds []drained) map[string][]int64 {
+	assign := PlanPlacement(par, len(ds))
+	out := make(map[string][]int64, len(pipe.sources))
+	for src := range pipe.sources {
+		hosts := hostingWorkers(assign[src])
+		counters := make([]int64, len(hosts))
+		for rank, w := range hosts {
+			counters[rank] = ds[w].seqs[src]
 		}
-	}()
-	return decodeStates(pipe, enc)
+		out[src] = counters
+	}
+	return out
 }
 
 // checkRestoreShape verifies a decoded savepoint fits the pipeline it
@@ -533,136 +520,13 @@ func checkRestoreShape(pipe *Pipeline, sp *savepointData) error {
 // time continues from the persisted elapsed time so rate schedules
 // pick up where they stopped.
 func NewJobFromSavepoint(p *Pipeline, initial dataflow.Parallelism, cfg Config, store CheckpointStore, name string) (*Job, error) {
-	if p == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
 	if store == nil {
 		return nil, errors.New("streamrt: nil checkpoint store")
 	}
-	if err := initial.Validate(p.graph); err != nil {
-		return nil, err
-	}
-	data, err := store.Load(name)
-	if err != nil {
-		return nil, fmt.Errorf("streamrt: loading savepoint %q: %w", name, err)
-	}
-	sp, err := decodeSavepoint(data)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Workers != 1 {
-		return nil, fmt.Errorf("streamrt: savepoint was cut over %d worker processes; restore it with NewClusterFromSavepoint", sp.Workers)
-	}
-	if err := checkRestoreShape(p, sp); err != nil {
-		return nil, err
-	}
-	states, err := restoreStates(p, sp.States)
-	if err != nil {
-		return nil, err
-	}
-	j := &Job{
-		pipe:     p,
-		cfg:      cfg.withDefaults(),
-		epoch:    time.Now().Add(-time.Duration(sp.Elapsed * float64(time.Second))),
-		cur:      initial.Clone(),
-		seqs:     make(map[string]*int64),
-		winStart: sp.Elapsed,
-	}
-	// The block size participates in nothing single-process (seqNW ==
-	// 1), but keep it so a later distributed hand-off of the config
-	// stays consistent with the file.
-	j.cfg.SourceSeqBlock = sp.SeqBlock
-	for src := range p.sources {
-		c := sp.Seqs[src][0]
-		j.seqs[src] = &c
-	}
-	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
-	}
-	j.mu.Lock()
-	j.deployLocked(states)
-	j.mu.Unlock()
-	return j, nil
+	return newJob(p, initial, cfg, nil, store, name)
 }
 
-// clusterSeqs assembles the per-rank source counters of a just-drained
-// cluster generation: rank r of a source is the r'th (sorted) worker
-// hosting it under the generation's placement, and its counter is that
-// worker's drained local count.
-func clusterSeqs(pipe *Pipeline, par dataflow.Parallelism, workers int, resps []drainResp) map[string][]int64 {
-	assign := PlanPlacement(par, workers)
-	out := make(map[string][]int64, len(pipe.sources))
-	for src := range pipe.sources {
-		hosts := hostingWorkers(assign[src])
-		counters := make([]int64, len(hosts))
-		for rank, w := range hosts {
-			counters[rank] = resps[w].Seqs[src]
-		}
-		out[src] = counters
-	}
-	return out
-}
-
-// Savepoint drains the cluster, merges the workers' encoded state and
-// sequence counters, persists the blob under name, and redeploys the
-// current parallelism — Cluster.Rescale with a persist phase, traced
-// and observed like the single-process Job.Savepoint. As there, a
-// failed store write returns the error after the cluster is back up.
-func (c *Cluster) Savepoint(store CheckpointStore, name string) error {
-	if store == nil {
-		return errors.New("streamrt: nil checkpoint store")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return ErrStopped
-	}
-	c.savepoints++
-	tr := c.obs.beginSavepointTrace(c.savepoints)
-	t0 := time.Now()
-	var resps []drainResp
-	var err error
-	tr.phase(phaseDrain, func(parent uint64) { resps, err = c.drainWorkersLocked(tr, parent) })
-	if err != nil {
-		return err
-	}
-	var states map[string]map[string][]byte
-	var perr error
-	tr.phase(phaseSnapshot, func(uint64) { states = mergeEncStates(resps) })
-	tr.phase(phasePersist, func(uint64) {
-		sp := &savepointData{
-			Workload: c.workload,
-			Workers:  len(c.ctrls),
-			SeqBlock: c.cfg.SourceSeqBlock,
-			Elapsed:  c.Now(),
-			Seqs:     clusterSeqs(c.pipe, c.cur, len(c.ctrls), resps),
-			States:   states,
-		}
-		perr = store.Save(name, encodeSavepoint(sp))
-	})
-	if err := c.deployLocked(c.cur, states, nil, tr); err != nil {
-		return err
-	}
-	c.rescalesDone(tr)
-	if h := c.obs.savepointHist(); h != nil {
-		h.Observe(time.Since(t0).Seconds())
-	}
-	return perr
-}
-
-// rescalesDone is the shared tail of a cluster redeploy: restart the
-// observation window and resolve the new generation's first record
-// into the trace off the lock. Callers hold c.mu.
-func (c *Cluster) rescalesDone(tr *rescaleTrace) {
-	c.winStart = c.Now()
-	if tr != nil {
-		restartEnd := tr.now()
-		gen := c.gen
-		go c.resolveFirstRecord(tr, restartEnd, gen)
-	}
-}
-
-// NewClusterFromSavepoint deploys a fresh distributed cluster from a
+// NewClusterFromSavepoint deploys a fresh distributed job from a
 // savepoint. The worker count must match the savepoint's — source
 // sequence striping is per worker process, so a different count would
 // re-stripe the sequence space and replay or skip records. Operator
@@ -670,18 +534,17 @@ func (c *Cluster) rescalesDone(tr *rescaleTrace) {
 // routing tables), as long as each source keeps the same number of
 // hosting workers; the striping block size is taken from the file.
 func NewClusterFromSavepoint(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config, store CheckpointStore, name string) (*Cluster, error) {
-	if pipe == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
 	if store == nil {
 		return nil, errors.New("streamrt: nil checkpoint store")
 	}
-	if err := initial.Validate(pipe.graph); err != nil {
-		return nil, err
-	}
-	if err := validateDistributed(pipe, initial, len(addrs)); err != nil {
-		return nil, err
-	}
+	return newJob(pipe, initial, cfg, &fleet{workload, addrs}, store, name)
+}
+
+// loadSavepoint reads and checks savepoint name for a deployment of p
+// at initial, over the workers of fl (in this process when fl is nil):
+// the file must come from the same pipeline and, for a distributed job,
+// the same workload, worker count and per-source hosting.
+func loadSavepoint(p *Pipeline, initial dataflow.Parallelism, fl *fleet, store CheckpointStore, name string) (*savepointData, error) {
 	data, err := store.Load(name)
 	if err != nil {
 		return nil, fmt.Errorf("streamrt: loading savepoint %q: %w", name, err)
@@ -690,46 +553,26 @@ func NewClusterFromSavepoint(pipe *Pipeline, workload string, initial dataflow.P
 	if err != nil {
 		return nil, err
 	}
-	if sp.Workload != workload {
-		return nil, fmt.Errorf("streamrt: savepoint holds workload %q, not %q", sp.Workload, workload)
+	workers := 1
+	if fl != nil {
+		workers = len(fl.addrs)
+		if sp.Workload != fl.workload {
+			return nil, fmt.Errorf("streamrt: savepoint holds workload %q, not %q", sp.Workload, fl.workload)
+		}
+		if sp.Workers != workers {
+			return nil, fmt.Errorf("streamrt: savepoint was cut over %d workers; restoring over %d would re-stripe source sequences", sp.Workers, workers)
+		}
+	} else if sp.Workers != 1 {
+		return nil, fmt.Errorf("streamrt: savepoint was cut over %d worker processes; restore it with NewClusterFromSavepoint", sp.Workers)
 	}
-	if sp.Workers != len(addrs) {
-		return nil, fmt.Errorf("streamrt: savepoint was cut over %d workers; restoring over %d would re-stripe source sequences", sp.Workers, len(addrs))
-	}
-	if err := checkRestoreShape(pipe, sp); err != nil {
+	if err := checkRestoreShape(p, sp); err != nil {
 		return nil, err
 	}
-	assign := PlanPlacement(initial, len(addrs))
-	for _, src := range sortedKeys(pipe.sources) {
+	assign := PlanPlacement(initial, workers)
+	for _, src := range sortedKeys(p.sources) {
 		if hosts := hostingWorkers(assign[src]); len(hosts) != len(sp.Seqs[src]) {
 			return nil, fmt.Errorf("streamrt: restore changes source %q from %d to %d hosting workers; sequence stripes would not line up", src, len(sp.Seqs[src]), len(hosts))
 		}
 	}
-	c := &Cluster{
-		pipe:     pipe,
-		workload: workload,
-		cfg:      cfg.withDefaults(),
-		addrs:    addrs,
-		cur:      initial.Clone(),
-		linkSeen: make(map[string]*linkMirror),
-	}
-	c.cfg.SourceSeqBlock = sp.SeqBlock
-	c.epoch = time.Now().Add(-time.Duration(sp.Elapsed * float64(time.Second)))
-	c.winStart = sp.Elapsed
-	if c.cfg.Metrics != nil {
-		c.obs = newJobObs(c.cfg.Metrics, pipe, c.Rescales)
-	}
-	for i, addr := range addrs {
-		cc, err := dialCtrl(i, addr)
-		if err != nil {
-			c.closeCtrls()
-			return nil, err
-		}
-		c.ctrls = append(c.ctrls, cc)
-	}
-	if err := c.deployLocked(initial, sp.States, sp.Seqs, nil); err != nil {
-		c.closeCtrls()
-		return nil, err
-	}
-	return c, nil
+	return sp, nil
 }

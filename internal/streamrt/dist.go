@@ -7,25 +7,25 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ds2/internal/dataflow"
 	"ds2/internal/obs"
 )
 
-// Distributed streamrt: a Cluster (the coordinator, living in the
-// controller process) drives N Worker processes, each hosting a subset
-// of the pipeline's operator instances. Everything rides the framed
-// transport (frame.go, transport.go): batches as DATA frames between
-// workers, flow-control CREDIT frames back, DONE frames for the
-// cross-process close cascade, and a JSON control protocol from the
-// coordinator. The Cluster mirrors the single-process Job API
-// (NextInterval / Collect / Rescale / Stop / Wait), builds intervals
-// with the exact same code path (buildInterval), and routes keys from
-// the exact same tables — so DS2 decisions, convergence behaviour and
-// sink results are identical whether a pipeline runs in one process or
-// many.
+// Distributed streamrt: a Job whose handles are remote drives N Worker
+// processes, each hosting a subset of the pipeline's operator
+// instances. Everything rides the framed transport (frame.go,
+// transport.go): batches as DATA frames between workers, flow-control
+// CREDIT frames back, DONE frames for the cross-process close cascade,
+// and a JSON control protocol from the coordinator. There is one
+// engine: the coordinator (job.go) is the same code whether its
+// handles are one in-process localHandle or one remoteHandle per
+// worker. A remoteHandle turns each handle call into a control RPC,
+// encoding keyed state for the wire; the Worker at the other end
+// decodes it and makes the same call on its own localHandle. So DS2
+// decisions, convergence behaviour and sink results are identical
+// whether a pipeline runs in one process or many.
 
 // Control request kinds.
 const (
@@ -40,20 +40,6 @@ const (
 	// control goroutine for seconds.
 	ctrlFirstRec = byte(6)
 )
-
-// distContext is one worker process's view of one deployment
-// generation, threaded through Job.deployLocked.
-type distContext struct {
-	worker  int
-	workers int
-	gen     uint32
-	tr      *transport
-	assign  map[string][]int          // operator -> instance -> hosting worker
-	tables  map[string]map[string]int // keyed operator -> coordinator routing table
-	peers   []*link                   // outbound data link per worker index (nil for self)
-	start   chan struct{}             // closed by the coordinator's START
-	started bool
-}
 
 // wireConfig is Config in wire form, shipped with every deploy so all
 // workers batch, flush, pace and stripe identically.
@@ -225,7 +211,8 @@ func PlanPlacement(par dataflow.Parallelism, workers int) map[string][]int {
 	return out
 }
 
-// encodeStates serializes drained keyed state for the wire.
+// encodeStates serializes drained keyed state for the wire and for
+// savepoint files.
 func encodeStates(pipe *Pipeline, states map[string]map[string]any) (map[string]map[string][]byte, error) {
 	if len(states) == 0 {
 		return nil, nil
@@ -249,12 +236,23 @@ func encodeStates(pipe *Pipeline, states map[string]map[string]any) (map[string]
 	return out, nil
 }
 
-// decodeStates is the inverse of encodeStates.
-func decodeStates(pipe *Pipeline, states map[string]map[string][]byte) (map[string]map[string]any, error) {
+// decodeStates is the inverse of encodeStates: the one decode path for
+// state that arrives from outside the process — a deploy from the
+// coordinator, a drain reply from a worker, a savepoint file. User
+// codecs may panic on bytes they never wrote (a savepoint from an older
+// state layout passes the CRC but not the codec; so does a truncated
+// blob in a well-formed control message); the recover turns that into
+// an error instead of taking the process down.
+func decodeStates(pipe *Pipeline, states map[string]map[string][]byte) (out map[string]map[string]any, err error) {
 	if len(states) == 0 {
 		return nil, nil
 	}
-	out := make(map[string]map[string]any, len(states))
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("streamrt: decoding operator state: %v", r)
+		}
+	}()
+	out = make(map[string]map[string]any, len(states))
 	for op, kv := range states {
 		spec := pipe.ops[op]
 		if spec == nil {
@@ -275,10 +273,12 @@ func decodeStates(pipe *Pipeline, states map[string]map[string][]byte) (map[stri
 
 // Worker hosts one process's share of distributed deployments: it
 // listens for the coordinator's control connection and its peers' data
-// links, and builds a (placement-filtered) Job per deploy. One Worker
-// serves any number of successive generations and jobs; the per-source
-// sequence counters persist across generations of the same workload, so
-// rescales never replay or skip a record.
+// links, and serves each control request as the matching call on a
+// localHandle — the same generation code an in-process Job drives —
+// translating JSON and encoded state at the edge. One Worker serves any
+// number of successive generations and jobs; the per-source sequence
+// counters persist across generations of the same workload, so rescales
+// never replay or skip a record.
 type Worker struct {
 	index int
 	pipes map[string]*Pipeline
@@ -288,8 +288,9 @@ type Worker struct {
 	mu       sync.Mutex
 	workload string
 	seqs     map[string]*int64
-	job      *Job
-	dc       *distContext
+	obs      *jobObs      // worker-local telemetry, one per registry and workload
+	h        *localHandle // the live generation's host; nil once drained
+	cut      float64      // job time of the last collect, for the worker-local gauges
 }
 
 // NewWorker creates a worker with the given index (its position in the
@@ -364,6 +365,13 @@ func (w *Worker) handleControl(l *link, m ctrlMsg) {
 	l.sendCtrl(frameReply, ctrlMsg{req: m.req, kind: 1, body: body})
 }
 
+// handle returns the live generation's host (nil when none).
+func (w *Worker) handle() *localHandle {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.h
+}
+
 // deploy builds this worker's share of a new generation. Sources stay
 // gated until the coordinator's START — by then every worker has
 // installed its receive table, so no frame can arrive unroutable.
@@ -394,50 +402,36 @@ func (w *Worker) deploy(body []byte) ([]byte, error) {
 	decoded := time.Since(h0)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.job != nil {
+	if w.h != nil {
 		return nil, errors.New("streamrt: deploy while a generation is live (drain first)")
 	}
 	if w.seqs == nil || w.workload != req.Workload {
 		w.workload = req.Workload
-		w.seqs = make(map[string]*int64)
-		for name := range pipe.sources {
-			w.seqs[name] = new(int64)
+		w.seqs = newSeqs(pipe)
+		if w.reg != nil {
+			w.obs = newJobObs(w.reg, pipe)
 		}
-	}
-	// Restore-on-deploy: a coordinator restoring from a savepoint ships
-	// the persisted counters; install them before anything emits.
-	for name, v := range req.Seqs {
-		if p := w.seqs[name]; p != nil {
-			atomic.StoreInt64(p, v)
-		}
-	}
-	peers := make([]*link, req.Workers)
-	for i, addr := range req.Peers {
-		if i == req.Worker || addr == "" {
-			continue
-		}
-		l, err := w.tr.dialPeer(uint32(i), addr)
-		if err != nil {
-			return nil, err
-		}
-		peers[i] = l
-	}
-	dc := &distContext{
-		worker:  req.Worker,
-		workers: req.Workers,
-		gen:     req.Gen,
-		tr:      w.tr,
-		assign:  req.Assign,
-		tables:  req.Tables,
-		peers:   peers,
-		start:   make(chan struct{}),
 	}
 	cfg := req.Config.config()
 	cfg.Metrics = w.reg
-	epoch := time.Now().Add(-time.Duration(req.Elapsed * float64(time.Second)))
+	h := newLocalHandle(pipe, cfg, w.obs, w.tr, w.seqs)
+	g := &generation{
+		gen:     req.Gen,
+		worker:  req.Worker,
+		workers: req.Workers,
+		peers:   req.Peers,
+		epoch:   time.Now().Add(-time.Duration(req.Elapsed * float64(time.Second))),
+		par:     par,
+		assign:  req.Assign,
+		tables:  req.Tables,
+		states:  states,
+		seqs:    req.Seqs,
+	}
 	built0 := time.Since(h0)
-	w.job = newWorkerJob(pipe, par, cfg, dc, w.seqs, epoch, states)
-	w.dc = dc
+	if _, err := h.deploy(g, req.Trace); err != nil {
+		return nil, err
+	}
+	w.h, w.cut = h, h.Now()
 	resp := deployResp{}
 	if req.Trace.ID != "" {
 		resp.Spans = []wireSpan{
@@ -454,22 +448,18 @@ func (w *Worker) start(body []byte) ([]byte, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("streamrt: bad start request: %w", err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.dc == nil || w.dc.gen != req.Gen {
+	h := w.handle()
+	if h == nil {
 		return nil, fmt.Errorf("streamrt: start for generation %d, none deployed", req.Gen)
 	}
-	if !w.dc.started {
-		w.dc.started = true
-		close(w.dc.start)
-	}
-	return nil, nil
+	return nil, h.start(req.Gen)
 }
 
 // drain stops this worker's share of the current generation — the
 // coordinator broadcasts drains, so the cross-process close cascade
-// completes everywhere — and returns its keyed state, encoded. A
-// traced request additionally gets the teardown/encode phase spans.
+// completes everywhere — and returns its keyed state, encoded, with the
+// source counters. A traced request additionally gets the
+// teardown/encode phase spans.
 func (w *Worker) drain(body []byte) ([]byte, error) {
 	var req drainReq
 	if len(body) > 0 {
@@ -478,28 +468,20 @@ func (w *Worker) drain(body []byte) ([]byte, error) {
 		_ = json.Unmarshal(body, &req)
 	}
 	h0 := time.Now()
-	w.mu.Lock()
-	j := w.job
-	w.mu.Unlock()
 	var resp drainResp
-	if j != nil {
-		states := j.drain()
-		drained := time.Since(h0)
-		w.mu.Lock()
-		w.job = nil
-		w.dc = nil
-		// The drained counters are this worker's exact resume points;
-		// a savepointing coordinator persists them.
-		resp.Seqs = make(map[string]int64, len(w.seqs))
-		for name, p := range w.seqs {
-			resp.Seqs[name] = atomic.LoadInt64(p)
-		}
-		w.mu.Unlock()
-		enc, err := encodeStates(j.pipe, states)
+	if h := w.handle(); h != nil {
+		d, err := h.drain(req.Trace)
 		if err != nil {
 			return nil, err
 		}
-		resp.States = enc
+		drained := time.Since(h0)
+		w.mu.Lock()
+		w.h = nil
+		w.mu.Unlock()
+		resp.Seqs = d.seqs
+		if resp.States, err = encodeStates(h.pipe, d.states); err != nil {
+			return nil, err
+		}
 		if req.Trace.ID != "" {
 			resp.Spans = []wireSpan{
 				{Name: "drain/teardown", Start: 0, End: int64(drained)},
@@ -510,25 +492,16 @@ func (w *Worker) drain(body []byte) ([]byte, error) {
 	return json.Marshal(resp)
 }
 
-// firstRecord reports whether the given generation has processed its
-// first record yet (see firstRecResp). Non-blocking: the coordinator's
-// trace finisher polls.
+// firstRecord answers the coordinator's first-record poll for one
+// generation (see firstRecResp). Non-blocking: the coordinator polls.
 func (w *Worker) firstRecord(body []byte) ([]byte, error) {
 	var req firstRecReq
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("streamrt: bad first-record request: %w", err)
 	}
 	resp := firstRecResp{At: -1}
-	w.mu.Lock()
-	j, dc := w.job, w.dc
-	w.mu.Unlock()
-	if j != nil && dc != nil && dc.gen == req.Gen {
-		j.mu.Lock()
-		dep := j.dep
-		j.mu.Unlock()
-		if dep != nil {
-			resp.At = dep.first.value()
-		}
+	if h := w.handle(); h != nil {
+		resp.At, _, _ = h.firstRecord(req.Gen)
 	}
 	return json.Marshal(resp)
 }
@@ -539,60 +512,63 @@ func (w *Worker) firstRecord(body []byte) ([]byte, error) {
 // worker's /metrics page shows its own share of the time splits and
 // rates, not just the hot-path counters.
 func (w *Worker) collect() ([]byte, error) {
+	h := w.handle()
+	if h == nil {
+		return json.Marshal(collectResp{Links: w.tr.linkSnapshots()})
+	}
+	accs, links, err := h.collect()
+	if err != nil {
+		return nil, err
+	}
 	w.mu.Lock()
-	j := w.job
+	start, end, o := w.cut, h.Now(), w.obs
+	w.cut = end
 	w.mu.Unlock()
-	resp := collectResp{Links: w.tr.linkSnapshots()}
-	if j != nil {
-		var start, end float64
+	if o != nil && len(accs) > 0 && end > start {
 		localPar := make(dataflow.Parallelism)
-		j.mu.Lock()
-		if j.dep != nil {
-			resp.Accs = j.takeAccsLocked()
-			start, end = j.winStart, j.Now()
-			j.winStart = end
-			for op, list := range j.dep.insts {
-				localPar[op] = len(list)
-			}
+		for _, a := range accs {
+			localPar[a.Op]++
 		}
-		j.mu.Unlock()
-		if j.obs != nil && len(resp.Accs) > 0 && end > start {
-			// Best-effort: the coordinator's interval build is the one
-			// that drives decisions; this one only refreshes gauges.
-			if iv, err := buildInterval(j.pipe, j.cfg, resp.Accs, start, end, localPar); err == nil {
-				j.obs.observeInterval(iv)
-			}
+		// Best-effort: the coordinator's interval build is the one that
+		// drives decisions; this one only refreshes gauges.
+		if iv, err := buildInterval(h.pipe, h.cfg, accs, start, end, localPar); err == nil {
+			o.observeInterval(iv)
 		}
 	}
-	return json.Marshal(resp)
+	return json.Marshal(collectResp{Accs: accs, Links: links})
 }
 
 // wait blocks until the current generation's local instances have all
 // exited, reporting whether the exit was natural source exhaustion (as
 // opposed to a drain-for-rescale).
 func (w *Worker) wait() ([]byte, error) {
-	w.mu.Lock()
-	j := w.job
-	w.mu.Unlock()
 	resp := waitResp{}
-	if j != nil {
-		resp.Natural = j.waitCurrent()
+	if h := w.handle(); h != nil {
+		var err error
+		if resp.Natural, err = h.wait(); err != nil {
+			return nil, err
+		}
 	}
 	return json.Marshal(resp)
 }
 
-// ctrlClient is the coordinator's end of one worker's control
-// connection: a correlation table over CONTROL/REPLY frames.
-type ctrlClient struct {
-	worker int
-	l      *link
+// remoteHandle is the coordinator's end of one worker's control
+// connection: a correlation table over CONTROL/REPLY frames, plus the
+// state encode/decode that lets the coordinator deal in decoded state
+// whatever its handles are.
+type remoteHandle struct {
+	worker   int
+	l        *link
+	pipe     *Pipeline
+	workload string
+	cfg      wireConfig
 
 	mu   sync.Mutex
 	next uint32
 	pend map[uint32]chan ctrlMsg
 }
 
-func dialCtrl(worker int, addr string) (*ctrlClient, error) {
+func dialRemote(worker int, addr string, pipe *Pipeline, workload string, cfg Config) (*remoteHandle, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("streamrt: dialing worker %d at %s: %w", worker, addr, err)
@@ -600,34 +576,37 @@ func dialCtrl(worker int, addr string) (*ctrlClient, error) {
 	l := newLink(conn, uint32(worker), &linkStats{label: fmt.Sprintf("ctl->w%d", worker)})
 	go l.writeLoop()
 	l.sendHello(helloMsg{proto: frameProto, sender: helloCoordinator})
-	c := &ctrlClient{worker: worker, l: l, pend: make(map[uint32]chan ctrlMsg)}
-	go c.readLoop()
-	return c, nil
+	r := &remoteHandle{
+		worker: worker, l: l, pipe: pipe, workload: workload, cfg: toWireConfig(cfg),
+		pend: make(map[uint32]chan ctrlMsg),
+	}
+	go r.readLoop()
+	return r, nil
 }
 
-func (c *ctrlClient) readLoop() {
-	br := bufio.NewReaderSize(c.l.conn, 1<<16)
+func (r *remoteHandle) readLoop() {
+	br := bufio.NewReaderSize(r.l.conn, 1<<16)
 	var buf []byte
 	for {
 		typ, payload, nbuf, err := readFrame(br, buf)
 		buf = nbuf
 		if err != nil {
-			c.l.close(err)
+			r.l.close(err)
 			return
 		}
 		if typ != frameReply {
-			c.l.close(fmt.Errorf("streamrt: unexpected frame type %d on control client", typ))
+			r.l.close(fmt.Errorf("streamrt: unexpected frame type %d on control client", typ))
 			return
 		}
 		m, err := parseCtrl(payload)
 		if err != nil {
-			c.l.close(err)
+			r.l.close(err)
 			return
 		}
-		c.mu.Lock()
-		ch := c.pend[m.req]
-		delete(c.pend, m.req)
-		c.mu.Unlock()
+		r.mu.Lock()
+		ch := r.pend[m.req]
+		delete(r.pend, m.req)
+		r.mu.Unlock()
 		if ch != nil {
 			m.body = append([]byte(nil), m.body...) // payload aliases the read buffer
 			ch <- m
@@ -637,18 +616,18 @@ func (c *ctrlClient) readLoop() {
 
 // rpc performs one request/reply round trip. No timeout: drains and
 // waits legitimately block; a dead link fails all callers promptly.
-func (c *ctrlClient) rpc(kind byte, req, resp any) error {
+func (r *remoteHandle) rpc(kind byte, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	ch := make(chan ctrlMsg, 1)
-	c.mu.Lock()
-	c.next++
-	id := c.next
-	c.pend[id] = ch
-	c.mu.Unlock()
-	c.l.sendCtrl(frameControl, ctrlMsg{req: id, kind: kind, body: body})
+	r.mu.Lock()
+	r.next++
+	id := r.next
+	r.pend[id] = ch
+	r.mu.Unlock()
+	r.l.sendCtrl(frameControl, ctrlMsg{req: id, kind: kind, body: body})
 	select {
 	case m := <-ch:
 		if m.kind == 0 {
@@ -656,25 +635,81 @@ func (c *ctrlClient) rpc(kind byte, req, resp any) error {
 				Error string `json:"error"`
 			}
 			json.Unmarshal(m.body, &e)
-			return fmt.Errorf("streamrt: worker %d: %s", c.worker, e.Error)
+			return fmt.Errorf("streamrt: worker %d: %s", r.worker, e.Error)
 		}
 		if resp != nil {
 			return json.Unmarshal(m.body, resp)
 		}
 		return nil
-	case <-c.l.closed:
-		c.mu.Lock()
-		delete(c.pend, id)
-		c.mu.Unlock()
-		err := c.l.failure()
+	case <-r.l.closed:
+		r.mu.Lock()
+		delete(r.pend, id)
+		r.mu.Unlock()
+		err := r.l.failure()
 		if err == nil {
 			err = errors.New("connection closed")
 		}
-		return fmt.Errorf("streamrt: worker %d control link: %w", c.worker, err)
+		return fmt.Errorf("streamrt: worker %d control link: %w", r.worker, err)
 	}
 }
 
-func (c *ctrlClient) close() { c.l.close(nil) }
+func (r *remoteHandle) deploy(g *generation, tc traceCtx) ([]wireSpan, error) {
+	enc, err := encodeStates(r.pipe, g.states)
+	if err != nil {
+		return nil, err
+	}
+	req := deployReq{
+		Workload:    r.workload,
+		Gen:         g.gen,
+		Worker:      g.worker,
+		Workers:     g.workers,
+		Peers:       g.peers,
+		Parallelism: g.par,
+		Assign:      g.assign,
+		Tables:      g.tables,
+		States:      enc,
+		Seqs:        g.seqs,
+		Elapsed:     time.Since(g.epoch).Seconds(),
+		Config:      r.cfg,
+		Trace:       tc,
+	}
+	var resp deployResp
+	err = r.rpc(ctrlDeploy, req, &resp)
+	return resp.Spans, err
+}
+
+func (r *remoteHandle) start(gen uint32) error {
+	return r.rpc(ctrlStart, startReq{Gen: gen}, nil)
+}
+
+func (r *remoteHandle) drain(tc traceCtx) (drained, error) {
+	var resp drainResp
+	if err := r.rpc(ctrlDrain, drainReq{Trace: tc}, &resp); err != nil {
+		return drained{}, err
+	}
+	states, err := decodeStates(r.pipe, resp.States)
+	return drained{states: states, seqs: resp.Seqs, spans: resp.Spans}, err
+}
+
+func (r *remoteHandle) collect() ([]wireAcc, []LinkStats, error) {
+	var resp collectResp
+	err := r.rpc(ctrlCollect, struct{}{}, &resp)
+	return resp.Accs, resp.Links, err
+}
+
+func (r *remoteHandle) wait() (bool, error) {
+	var resp waitResp
+	err := r.rpc(ctrlWait, struct{}{}, &resp)
+	return resp.Natural, err
+}
+
+func (r *remoteHandle) firstRecord(gen uint32) (int64, <-chan struct{}, error) {
+	var resp firstRecResp
+	err := r.rpc(ctrlFirstRec, firstRecReq{Gen: gen}, &resp)
+	return resp.At, nil, err
+}
+
+func (r *remoteHandle) close() { r.l.close(nil) }
 
 // linkMirror holds the last collected snapshot of one link's counters,
 // read by the coordinator registry's CounterFuncs.
@@ -689,354 +724,13 @@ func (m *linkMirror) get() LinkStats {
 	return m.v
 }
 
-func registerLinkMirror(reg *obs.Registry, label string, m *linkMirror) {
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().TxBytes) },
-		obs.L("link", label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_bytes_total",
-		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().RxBytes) },
-		obs.L("link", label), obs.L("dir", "rx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().TxFrames) },
-		obs.L("link", label), obs.L("dir", "tx"))
-	reg.CounterFunc("streamrt_link_frames_total",
-		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(m.get().RxFrames) },
-		obs.L("link", label), obs.L("dir", "rx"))
-	reg.CounterFunc("streamrt_link_stalls_total",
-		"Remote batch sends that blocked waiting for flow-control credit.",
-		func() float64 { return float64(m.get().Stalls) },
-		obs.L("link", label))
-}
-
-// Cluster is the coordinator of a distributed deployment: the
-// drop-in-for-Job engine the control loop drives. Deploys are
-// two-phase (every worker installs its receive table, then all sources
-// start), rescales are drain → snapshot → repartition → redeploy with
-// state crossing processes through the framed transport, and interval
-// collection fans out to the workers and rebuilds through the exact
-// single-process code path.
-type Cluster struct {
-	pipe     *Pipeline
-	workload string
-	cfg      Config
-	epoch    time.Time
-	obs      *jobObs
-	ctrls    []*ctrlClient
-	addrs    []string
-
-	mu         sync.Mutex
-	cur        dataflow.Parallelism
-	gen        uint32
-	winStart   float64
-	rescales   int
-	savepoints int
-	stopped    bool
-	final      map[string]map[string]any
-
-	linkMu   sync.Mutex
-	linkSeen map[string]*linkMirror
-}
-
-// NewCluster deploys pipe over the workers at addrs (each running a
-// Worker serving the named workload) and starts it.
-func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config) (*Cluster, error) {
-	if pipe == nil {
-		return nil, errors.New("streamrt: nil pipeline")
-	}
-	if err := initial.Validate(pipe.graph); err != nil {
-		return nil, err
-	}
-	if err := validateDistributed(pipe, initial, len(addrs)); err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		pipe:     pipe,
-		workload: workload,
-		cfg:      cfg.withDefaults(),
-		epoch:    time.Now(),
-		addrs:    addrs,
-		cur:      initial.Clone(),
-		linkSeen: make(map[string]*linkMirror),
-	}
-	if c.cfg.Metrics != nil {
-		c.obs = newJobObs(c.cfg.Metrics, pipe, c.Rescales)
-	}
-	for i, addr := range addrs {
-		cc, err := dialCtrl(i, addr)
-		if err != nil {
-			c.closeCtrls()
-			return nil, err
-		}
-		c.ctrls = append(c.ctrls, cc)
-	}
-	if err := c.deployLocked(initial, nil, nil, nil); err != nil {
-		c.closeCtrls()
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *Cluster) closeCtrls() {
-	for _, cc := range c.ctrls {
-		cc.close()
-	}
-}
-
-// each fans f out to every worker and joins the errors.
-func (c *Cluster) each(f func(cc *ctrlClient) error) error {
-	errs := make([]error, len(c.ctrls))
-	var wg sync.WaitGroup
-	for i, cc := range c.ctrls {
-		wg.Add(1)
-		go func(i int, cc *ctrlClient) {
-			defer wg.Done()
-			errs[i] = f(cc)
-		}(i, cc)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// deployLocked pushes one new generation: placement, routing tables
-// (built over the merged key universe — identical on every worker),
-// per-worker state slices, then the two-phase deploy/start barrier.
-// seqs, when non-nil, carries per-rank source counters to restore
-// (the from-savepoint path); each hosting worker receives its rank's
-// counter. tr, when non-nil, times the router_rebuild/transfer/restart
-// phases with per-worker child spans (nil on the initial deploy — only
-// rescales are traced). Callers hold c.mu (or own c exclusively).
-func (c *Cluster) deployLocked(par dataflow.Parallelism, encStates map[string]map[string][]byte, seqs map[string][]int64, tr *rescaleTrace) error {
-	c.gen++
-	workers := len(c.ctrls)
-	var assign map[string][]int
-	tables := make(map[string]map[string]int)
-	perWorker := make([]map[string]map[string][]byte, workers)
-	tr.phase(phaseRouterRebuild, func(uint64) {
-		assign = PlanPlacement(par, workers)
-		routers := make(map[string]*router)
-		for name, spec := range c.pipe.ops {
-			if !spec.Keyed {
-				continue
-			}
-			known := make(map[string]any, len(encStates[name]))
-			for k := range encStates[name] {
-				known[k] = nil
-			}
-			r := buildRouter(known, par[name], c.cfg.PartitionWeights[name])
-			routers[name] = r
-			if r.table != nil {
-				tables[name] = r.table
-			}
-		}
-		for op, kv := range encStates {
-			r := routers[op]
-			for k, b := range kv {
-				w := assign[op][r.owner(k)]
-				if perWorker[w] == nil {
-					perWorker[w] = make(map[string]map[string][]byte)
-				}
-				if perWorker[w][op] == nil {
-					perWorker[w][op] = make(map[string][]byte)
-				}
-				perWorker[w][op][k] = b
-			}
-		}
-	})
-	// Per-worker restore counters: rank r of a source maps to the r'th
-	// sorted hosting worker under the new placement.
-	perWorkerSeqs := make([]map[string]int64, workers)
-	for src, counters := range seqs {
-		for rank, w := range hostingWorkers(PlanPlacement(par, workers)[src]) {
-			if rank >= len(counters) {
-				break // shape was validated at restore; belt and braces
-			}
-			if perWorkerSeqs[w] == nil {
-				perWorkerSeqs[w] = make(map[string]int64)
-			}
-			perWorkerSeqs[w][src] = counters[rank]
-		}
-	}
-	elapsed := c.Now()
-	var err error
-	tr.phase(phaseTransfer, func(parent uint64) {
-		err = c.each(func(cc *ctrlClient) error {
-			req := deployReq{
-				Workload:    c.workload,
-				Gen:         c.gen,
-				Worker:      cc.worker,
-				Workers:     workers,
-				Peers:       c.addrs,
-				Parallelism: par,
-				Assign:      assign,
-				Tables:      tables,
-				States:      perWorker[cc.worker],
-				Seqs:        perWorkerSeqs[cc.worker],
-				Elapsed:     elapsed,
-				Config:      toWireConfig(c.cfg),
-			}
-			if tr != nil {
-				req.Trace = traceCtx{ID: tr.t.ID(), Span: parent}
-			}
-			s0 := tr.now()
-			var resp deployResp
-			if err := cc.rpc(ctrlDeploy, req, &resp); err != nil {
-				return err
-			}
-			tr.child(fmt.Sprintf("transfer/w%d", cc.worker), cc.worker, parent, s0, tr.now(), resp.Spans)
-			return nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	tr.phase(phaseRestart, func(parent uint64) {
-		err = c.each(func(cc *ctrlClient) error {
-			s0 := tr.now()
-			if err := cc.rpc(ctrlStart, startReq{Gen: c.gen}, nil); err != nil {
-				return err
-			}
-			tr.child(fmt.Sprintf("restart/w%d", cc.worker), cc.worker, parent, s0, tr.now(), nil)
-			return nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	c.cur = par.Clone()
-	return nil
-}
-
-// drainWorkersLocked drains every worker, recording one child span per
-// worker RPC under parent (plus the worker-shipped handler spans), and
-// returns the per-worker responses. Callers hold c.mu.
-func (c *Cluster) drainWorkersLocked(tr *rescaleTrace, parent uint64) ([]drainResp, error) {
-	resps := make([]drainResp, len(c.ctrls))
-	err := c.each(func(cc *ctrlClient) error {
-		req := drainReq{}
-		if tr != nil {
-			req.Trace = traceCtx{ID: tr.t.ID(), Span: parent}
-		}
-		s0 := tr.now()
-		if err := cc.rpc(ctrlDrain, req, &resps[cc.worker]); err != nil {
-			return err
-		}
-		tr.child(fmt.Sprintf("drain/w%d", cc.worker), cc.worker, parent, s0, tr.now(), resps[cc.worker].Spans)
-		return nil
-	})
-	return resps, err
-}
-
-// mergeEncStates merges per-worker state snapshots (disjoint key sets —
-// each key's state lives with its owning instance).
-func mergeEncStates(resps []drainResp) map[string]map[string][]byte {
-	merged := make(map[string]map[string][]byte)
-	for _, r := range resps {
-		for op, kv := range r.States {
-			if merged[op] == nil {
-				merged[op] = make(map[string][]byte)
-			}
-			for k, b := range kv {
-				merged[op][k] = b
-			}
-		}
-	}
-	return merged
-}
-
-// drainAllLocked drains every worker and merges their state snapshots.
-// Callers hold c.mu.
-func (c *Cluster) drainAllLocked() (map[string]map[string][]byte, error) {
-	resps, err := c.drainWorkersLocked(nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return mergeEncStates(resps), nil
-}
-
-// Now returns the cluster's job time in seconds (worker epochs are
-// aligned to it at every deploy).
-func (c *Cluster) Now() float64 { return time.Since(c.epoch).Seconds() }
-
-// WindowStart returns the job time the open observation window started.
-func (c *Cluster) WindowStart() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.winStart
-}
-
-// Parallelism returns the deployed configuration.
-func (c *Cluster) Parallelism() dataflow.Parallelism {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur.Clone()
-}
-
-// Rescales returns how many redeployments the cluster has performed.
-func (c *Cluster) Rescales() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rescales
-}
-
-// Stopped reports whether the cluster's job was stopped.
-func (c *Cluster) Stopped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stopped
-}
-
-// Collect cuts the open observation window across every worker and
-// builds the Interval exactly as a single-process Job would from the
-// union of the workers' accumulators.
-func (c *Cluster) Collect() (Interval, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return Interval{}, ErrStopped
-	}
-	end := c.Now()
-	start := c.winStart
-	par := c.cur.Clone()
-	var mu sync.Mutex
-	var accs []wireAcc
-	var links []LinkStats
-	err := c.each(func(cc *ctrlClient) error {
-		var resp collectResp
-		if err := cc.rpc(ctrlCollect, struct{}{}, &resp); err != nil {
-			return err
-		}
-		mu.Lock()
-		accs = append(accs, resp.Accs...)
-		links = append(links, resp.Links...)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return Interval{}, err
-	}
-	c.winStart = end
-	c.mirrorLinks(links)
-	iv, err := buildInterval(c.pipe, c.cfg, accs, start, end, par)
-	if err != nil {
-		return Interval{}, err
-	}
-	if c.obs != nil && len(accs) > 0 {
-		c.obs.observeInterval(iv)
-	}
-	return iv, nil
-}
-
 // mirrorLinks folds the workers' link counters into the coordinator's
 // registry. The same label appears on both ends of a connection (the
 // dialer counts tx, the acceptor rx), so summing per label yields the
 // link's complete traffic.
-func (c *Cluster) mirrorLinks(links []LinkStats) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
+func (j *Job) mirrorLinks(links []LinkStats) {
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
 	agg := make(map[string]LinkStats, len(links))
 	for _, s := range links {
 		a := agg[s.Link]
@@ -1049,12 +743,12 @@ func (c *Cluster) mirrorLinks(links []LinkStats) {
 		agg[s.Link] = a
 	}
 	for label, s := range agg {
-		m := c.linkSeen[label]
+		m := j.linkSeen[label]
 		if m == nil {
 			m = &linkMirror{}
-			c.linkSeen[label] = m
-			if c.cfg.Metrics != nil {
-				registerLinkMirror(c.cfg.Metrics, label, m)
+			j.linkSeen[label] = m
+			if j.cfg.Metrics != nil {
+				registerLinkStats(j.cfg.Metrics, label, m.get)
 			}
 		}
 		m.mu.Lock()
@@ -1064,201 +758,14 @@ func (c *Cluster) mirrorLinks(links []LinkStats) {
 }
 
 // LinkTotals returns the last collected per-link counters, aggregated
-// across both endpoints of every connection.
-func (c *Cluster) LinkTotals() []LinkStats {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	out := make([]LinkStats, 0, len(c.linkSeen))
-	for _, m := range c.linkSeen {
+// across both endpoints of every connection. Empty for an in-process
+// job, which has no links.
+func (j *Job) LinkTotals() []LinkStats {
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
+	out := make([]LinkStats, 0, len(j.linkSeen))
+	for _, m := range j.linkSeen {
 		out = append(out, m.get())
 	}
 	return out
-}
-
-// NextInterval blocks until the open window covers d seconds of job
-// time, then cuts and returns it.
-func (c *Cluster) NextInterval(d float64) (Interval, error) {
-	for {
-		c.mu.Lock()
-		stopped := c.stopped
-		remain := c.winStart + d - c.Now()
-		c.mu.Unlock()
-		if stopped {
-			return Interval{}, ErrStopped
-		}
-		if remain <= 0 {
-			return c.Collect()
-		}
-		const maxSleep = 50 * time.Millisecond
-		if remain > maxSleep.Seconds() {
-			time.Sleep(maxSleep)
-		} else {
-			time.Sleep(time.Duration(remain * float64(time.Second)))
-		}
-	}
-}
-
-// Rescale redeploys the cluster at a new parallelism: drain everywhere
-// (the cross-process close cascade flushes every in-flight record),
-// snapshot and merge keyed state, repartition it under the new routing
-// tables, and push the next generation — state moving between worker
-// processes through the framed transport. Settle semantics: the open
-// observation window restarts at the new deployment.
-func (c *Cluster) Rescale(newP dataflow.Parallelism) error {
-	if err := newP.Validate(c.pipe.graph); err != nil {
-		return err
-	}
-	if err := validateDistributed(c.pipe, newP, len(c.ctrls)); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return ErrStopped
-	}
-	tr := c.obs.beginRescaleTrace(c.rescales + 1)
-	var resps []drainResp
-	var err error
-	tr.phase(phaseDrain, func(parent uint64) {
-		resps, err = c.drainWorkersLocked(tr, parent)
-	})
-	if err != nil {
-		return err
-	}
-	var states map[string]map[string][]byte
-	tr.phase(phaseSnapshot, func(uint64) {
-		states = mergeEncStates(resps)
-	})
-	if err := c.deployLocked(newP, states, nil, tr); err != nil {
-		return err
-	}
-	c.rescales++
-	// The cluster-wide first record lands on some worker; rescalesDone
-	// polls them off the lock so the rescale returns now.
-	c.rescalesDone(tr)
-	return nil
-}
-
-// resolveFirstRecord polls the workers for the first record processed
-// by generation gen and completes the rescale trace with it. Once any
-// worker has noted a time, workers still pending can only note later
-// ones, so the minimum over the first round with a hit is the
-// cluster-wide first record. Gives up (leaving the trace incomplete)
-// after firstRecordWait, on a control error, or when gen is obsolete.
-func (c *Cluster) resolveFirstRecord(tr *rescaleTrace, restartEnd int64, gen uint32) {
-	deadline := time.Now().Add(firstRecordWait)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		stale := c.stopped || c.gen != gen
-		c.mu.Unlock()
-		if stale {
-			return
-		}
-		var mu sync.Mutex
-		best := int64(-1)
-		err := c.each(func(cc *ctrlClient) error {
-			var resp firstRecResp
-			if err := cc.rpc(ctrlFirstRec, firstRecReq{Gen: gen}, &resp); err != nil {
-				return err
-			}
-			if resp.At > 0 {
-				mu.Lock()
-				if best < 0 || resp.At < best {
-					best = resp.At
-				}
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil {
-			return
-		}
-		if best > 0 {
-			tr.finish(restartEnd, best, true)
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	tr.finish(restartEnd, 0, false)
-}
-
-// RescaleTraces returns the retained rescale span timelines,
-// oldest-first. Nil without metrics.
-func (c *Cluster) RescaleTraces() []obs.TraceView {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.rescale.ring.Views()
-}
-
-// Stop drains the cluster and returns the final keyed state of every
-// stateful operator, decoded — the distributed analogue of Job.Stop.
-// Idempotent. The control and data connections stay up until Close.
-func (c *Cluster) Stop() map[string]map[string]any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return c.final
-	}
-	c.stopped = true
-	enc, err := c.drainAllLocked()
-	if err == nil {
-		c.final, _ = decodeStates(c.pipe, enc)
-	}
-	if c.final == nil {
-		c.final = make(map[string]map[string]any)
-	}
-	// Job.Stop returns a (possibly empty) map per stateful operator.
-	for name, spec := range c.pipe.ops {
-		if spec.Keyed && c.final[name] == nil {
-			c.final[name] = make(map[string]any)
-		}
-	}
-	return c.final
-}
-
-// Close releases the coordinator's control connections. Call after
-// Stop.
-func (c *Cluster) Close() { c.closeCtrls() }
-
-// Wait blocks until every bounded source is exhausted and the pipeline
-// drained on every worker, or the cluster is stopped. Rescales are
-// transparent, as with Job.Wait.
-func (c *Cluster) Wait() {
-	for {
-		c.mu.Lock()
-		if c.stopped {
-			c.mu.Unlock()
-			return
-		}
-		gen := c.gen
-		c.mu.Unlock()
-		natural := true
-		var mu sync.Mutex
-		err := c.each(func(cc *ctrlClient) error {
-			var resp waitResp
-			if err := cc.rpc(ctrlWait, struct{}{}, &resp); err != nil {
-				return err
-			}
-			if !resp.Natural {
-				mu.Lock()
-				natural = false
-				mu.Unlock()
-			}
-			return nil
-		})
-		if err != nil || natural {
-			return
-		}
-		// Not natural: a drain happened. If it was a rescale, c.mu is
-		// held until the next generation is live, so by the time we can
-		// read c.gen again it has moved; an unchanged gen means Stop.
-		c.mu.Lock()
-		same := c.gen == gen
-		stopped := c.stopped
-		c.mu.Unlock()
-		if stopped || same {
-			return
-		}
-	}
 }

@@ -195,7 +195,7 @@ func TestClusterRescaleMigratesState(t *testing.T) {
 // TestDS2ConvergesOnClusterWithinThreeIntervals is the distributed twin
 // of the single-process convergence pin: the same wordcountish job with
 // its instances spread over two worker processes, driven by the same
-// Controller through the Engine seam, must converge to the same
+// Controller through the same Runtime, must converge to the same
 // provisioning within three policy intervals of the rate step.
 func TestDS2ConvergesOnClusterWithinThreeIntervals(t *testing.T) {
 	const (
@@ -221,7 +221,7 @@ func TestDS2ConvergesOnClusterWithinThreeIntervals(t *testing.T) {
 	defer cluster.Close()
 	defer cluster.Stop()
 
-	ctrl, err := controlloop.New(streamrt.NewEngineRuntime(cluster),
+	ctrl, err := controlloop.New(streamrt.NewRuntime(cluster),
 		liveManager(t, pipe.Graph(), initial),
 		controlloop.Config{Interval: interval, MaxIntervals: intervals})
 	if err != nil {

@@ -14,6 +14,17 @@
 // key into keyed operators, round-robin otherwise — so a full queue
 // blocks the sender: backpressure is emergent, not modeled.
 //
+// # One engine, two handle kinds
+//
+// A Job is a coordinator over worker handles, and every engine
+// operation (Collect, NextInterval, Rescale, Savepoint, Stop, Wait,
+// restore) is written once against them. NewJob uses one in-process
+// handle, which runs each generation's instances directly on decoded
+// state. NewCluster uses one remote handle per Worker process: each
+// handle call becomes a control RPC over the framed transport, with
+// keyed state encoded for the wire, and the Worker serves it as the
+// same call on its own in-process handle. Cluster is an alias of Job.
+//
 // # Building pipelines
 //
 // Pipelines are built with the typed builder: generic source and
@@ -51,13 +62,13 @@
 //
 // # Savepoints
 //
-// Job.Savepoint and Cluster.Savepoint drain the dataflow, encode its
-// keyed state and source sequence counters into a versioned,
-// CRC-guarded binary blob (see checkpoint.go for the format), persist
-// it under a name in a CheckpointStore (DirStore publishes
-// atomically via write-fsync-rename), and restart — the rescale
-// cycle with a persist phase spliced in, traced on the same ring and
-// observed into streamrt_savepoint_seconds. NewJobFromSavepoint and
+// Job.Savepoint drains the dataflow, encodes its keyed state and
+// source sequence counters into a versioned, CRC-guarded binary blob
+// (see checkpoint.go for the format), persists it under a name in a
+// CheckpointStore (DirStore publishes atomically via
+// write-fsync-rename), and restarts — the rescale cycle with a persist
+// phase spliced in, traced on the same ring and observed into
+// streamrt_savepoint_seconds. NewJobFromSavepoint and
 // NewClusterFromSavepoint deploy a fresh job from such a blob:
 // operator parallelism may differ from the cut (state repartitions
 // through the ordinary deploy path) and sources resume their
@@ -90,8 +101,9 @@
 // Job.Rescale performs the savepoint-and-restore cycle of §4.1: stop
 // the sources, drain the pipeline (channels close in cascade once all
 // upstream instances exit, so every in-flight record is processed),
-// snapshot the keyed state of every stateful instance, repartition it
-// by hash under the new parallelism, and restart fresh instances. The
+// snapshot the keyed state of every stateful instance, rebuild the
+// routing tables and repartition the state under the new parallelism,
+// hand each worker its share, and restart fresh instances. The
 // pause pollutes the running observation window, so Rescale discards
 // it, exactly like the settling EngineRuntime resets its metrics on
 // restart. Source sequence counters survive the cycle, so every
@@ -99,9 +111,9 @@
 //
 // # Driving it
 //
-// Runtime adapts a Job to controlloop.Runtime, so the standard
-// Controller and every policy (DS2, Dhalion, queueing, hold) drive a
-// live job unchanged — Advance paces on the wall clock instead of
+// Runtime adapts a Job, in-process or distributed, to
+// controlloop.Runtime, so the standard Controller and every policy
+// (DS2, Dhalion, queueing, hold) drive a live job unchanged — Advance paces on the wall clock instead of
 // virtual time. The same Runtime implements service.AttachedEngine, so
 // Attach registers the job with a ds2d scaling service through the
 // ordinary ingestion/poll/ack API: to the server, a live job and a

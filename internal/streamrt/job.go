@@ -92,81 +92,67 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one deployed, running pipeline: goroutine-per-instance
-// workers exchanging records over bounded channels. NewJob starts it;
-// it runs until Stop (or until every bounded source is exhausted).
+// Job is one deployed, running pipeline and the coordinator that
+// steers it. It drives a list of worker handles (see handle): one
+// in-process handle for NewJob, one remote handle per worker process
+// for NewCluster. Every engine operation — cut a window, rescale,
+// savepoint, stop, wait — is written once here against that seam, so
+// intervals, routing tables, traces and savepoints are identical
+// whether the pipeline runs in one process or many. A Job runs until
+// Stop (or until every bounded source is exhausted).
 type Job struct {
-	pipe  *Pipeline
-	cfg   Config
-	epoch time.Time // job time zero; job time = time.Since(epoch)
+	pipe *Pipeline
+	// workload names the pipeline on the workers ("" in-process);
+	// addrs are their control addresses, nil for an in-process job.
+	workload string
+	addrs    []string
+	cfg      Config
+	epoch    time.Time // job time zero; job time = time.Since(epoch)
 	// obs holds the pre-resolved metric handles when Config.Metrics is
-	// set; nil disables all telemetry.
-	obs *jobObs
-	// dist is set when this Job hosts one worker's share of a
-	// distributed deployment (see dist.go): instances whose placement
-	// is elsewhere are skipped, remote edges go through the transport,
-	// and sources stripe the sequence space. Nil for ordinary
-	// single-process jobs — every dist branch below is a nil check.
-	dist *distContext
-
-	// batches recycles exchange batches job-wide: receivers return
-	// every batch they finish, so the steady-state exchange allocates
-	// nothing per record.
-	batches sync.Pool
+	// set; nil disables all telemetry. An in-process handle shares it.
+	obs     *jobObs
+	handles []handle
 
 	mu         sync.Mutex
 	cur        dataflow.Parallelism
-	dep        *deployment
-	seqs       map[string]*int64 // per-source sequence counters, shared across rescales
-	winStart   float64           // job time of the last window cut
+	gen        uint32
+	winStart   float64 // job time of the last window cut
 	rescales   int
 	savepoints int
 	stopped    bool
 	final      map[string]map[string]any
+
+	linkMu   sync.Mutex
+	linkSeen map[string]*linkMirror
 }
 
-// getBatch takes an empty batch from the pool (or allocates one sized
-// for BatchSize records).
-func (j *Job) getBatch() *batch {
-	if b, ok := j.batches.Get().(*batch); ok {
-		return b
-	}
-	return &batch{
-		msgs: make([]message, 0, j.cfg.BatchSize),
-		buf:  make([]byte, 0, j.cfg.BatchSize*32),
-	}
+// Cluster is a Job over worker processes. The name stays for callers
+// that spell out the distributed case; the engine is the same.
+type Cluster = Job
+
+// fleet is the worker set of a distributed job: the workload name the
+// workers serve the pipeline under and their control addresses.
+type fleet struct {
+	workload string
+	addrs    []string
 }
 
-// putBatch resets and recycles a processed batch. Message values are
-// cleared so the pool does not pin records alive. A batch that arrived
-// over a transport link returns one flow-control credit to its sender:
-// recycling is the cross-process analogue of freeing a channel slot.
-func (j *Job) putBatch(b *batch) {
-	if b.from.link != nil {
-		b.from.link.sendCredit(creditMsg{gen: b.from.gen, op: b.from.op, inst: b.from.inst, credits: 1})
-		b.from = recvOrigin{}
-	}
-	clear(b.msgs)
-	b.msgs = b.msgs[:0]
-	b.buf = b.buf[:0]
-	j.batches.Put(b)
-}
-
-// deployment is one generation of running instances; a rescale tears
-// one down and builds the next.
-type deployment struct {
-	stopSources chan struct{}
-	wg          sync.WaitGroup // every instance goroutine
-	insts       map[string][]*instance
-	// first resolves when the deployment processes its first record —
-	// the end of a rescale's downtime window. Always allocated (one
-	// channel per deploy); cancelled at teardown so waiters never leak.
-	first *firstRecord
-}
-
-// NewJob validates the initial parallelism, deploys the pipeline and
-// starts every instance.
+// NewJob validates the initial parallelism, deploys the pipeline in
+// this process and starts every instance.
 func NewJob(p *Pipeline, initial dataflow.Parallelism, cfg Config) (*Job, error) {
+	return newJob(p, initial, cfg, nil, nil, "")
+}
+
+// NewCluster deploys pipe over the workers at addrs (each running a
+// Worker serving the named workload) and starts it.
+func NewCluster(pipe *Pipeline, workload string, initial dataflow.Parallelism, addrs []string, cfg Config) (*Cluster, error) {
+	return newJob(pipe, initial, cfg, &fleet{workload, addrs}, nil, "")
+}
+
+// newJob is the one construction path: validate, load the savepoint
+// when store is set, open the worker handles (in-process when fl is
+// nil) and deploy the first generation.
+func newJob(p *Pipeline, initial dataflow.Parallelism, cfg Config, fl *fleet, store CheckpointStore, name string) (*Job, error) {
 	if p == nil {
 		return nil, errors.New("streamrt: nil pipeline")
 	}
@@ -174,50 +160,61 @@ func NewJob(p *Pipeline, initial dataflow.Parallelism, cfg Config) (*Job, error)
 		return nil, err
 	}
 	j := &Job{
-		pipe:  p,
-		cfg:   cfg.withDefaults(),
-		epoch: time.Now(),
-		cur:   initial.Clone(),
-		seqs:  make(map[string]*int64),
+		pipe:     p,
+		cfg:      cfg.withDefaults(),
+		epoch:    time.Now(),
+		cur:      initial.Clone(),
+		linkSeen: make(map[string]*linkMirror),
 	}
-	for name := range p.sources {
-		j.seqs[name] = new(int64)
+	if fl != nil {
+		if err := validateDistributed(p, initial, len(fl.addrs)); err != nil {
+			return nil, err
+		}
+		j.workload, j.addrs = fl.workload, fl.addrs
 	}
-	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
+	var states map[string]map[string]any
+	var seqs map[string][]int64
+	if store != nil {
+		sp, err := loadSavepoint(p, initial, fl, store, name)
+		if err != nil {
+			return nil, err
+		}
+		if states, err = decodeStates(p, sp.States); err != nil {
+			return nil, err
+		}
+		seqs = sp.Seqs
+		j.cfg.SourceSeqBlock = sp.SeqBlock
+		j.epoch = time.Now().Add(-time.Duration(sp.Elapsed * float64(time.Second)))
+		j.winStart = sp.Elapsed
+	}
+	if reg := j.cfg.Metrics; reg != nil {
+		j.obs = newJobObs(reg, p)
+		reg.CounterFunc("streamrt_rescales_total", "Redeployments performed by the job.",
+			func() float64 { return float64(j.Rescales()) })
+	}
+	if fl == nil {
+		j.handles = []handle{newLocalHandle(p, j.cfg, j.obs, nil, newSeqs(p))}
+	}
+	for i, addr := range j.addrs {
+		h, err := dialRemote(i, addr, p, j.workload, j.cfg)
+		if err != nil {
+			j.Close()
+			return nil, err
+		}
+		j.handles = append(j.handles, h)
 	}
 	j.mu.Lock()
-	j.deployLocked(nil)
+	err := j.deployLocked(initial, states, seqs, nil)
 	j.mu.Unlock()
+	if err != nil {
+		j.Close()
+		return nil, err
+	}
 	return j, nil
 }
 
-// newWorkerJob deploys one worker process's share of a distributed
-// deployment: a Job whose instance set is filtered by the coordinator's
-// placement, with remote edges riding dc's transport. The epoch and
-// per-source sequence counters are the worker's — they survive across
-// the worker's successive generations, exactly like a single-process
-// Job's survive rescales.
-func newWorkerJob(p *Pipeline, cur dataflow.Parallelism, cfg Config, dc *distContext,
-	seqs map[string]*int64, epoch time.Time, states map[string]map[string]any) *Job {
-	j := &Job{
-		pipe:  p,
-		cfg:   cfg.withDefaults(),
-		epoch: epoch,
-		cur:   cur.Clone(),
-		seqs:  seqs,
-		dist:  dc,
-	}
-	if j.cfg.Metrics != nil {
-		j.obs = newJobObs(j.cfg.Metrics, j.pipe, j.Rescales)
-	}
-	j.mu.Lock()
-	j.deployLocked(states)
-	j.mu.Unlock()
-	return j
-}
-
-// Now returns the current job time in seconds.
+// Now returns the current job time in seconds (worker epochs are
+// aligned to it at every deploy).
 func (j *Job) Now() float64 { return time.Since(j.epoch).Seconds() }
 
 // WindowStart returns the job time the open observation window
@@ -249,333 +246,277 @@ func (j *Job) Stopped() bool {
 	return j.stopped
 }
 
-// deployLocked builds channels and instances for j.cur and starts
-// every worker. states carries repartitionable keyed state from the
-// previous deployment (nil on first start). Callers hold j.mu.
-func (j *Job) deployLocked(states map[string]map[string]any) {
-	g := j.pipe.graph
-	dep := &deployment{
-		stopSources: make(chan struct{}),
-		insts:       make(map[string][]*instance, g.NumOperators()),
-		first:       newFirstRecord(),
+// each runs f for every worker handle — concurrently when there are
+// several — and joins the errors.
+func (j *Job) each(f func(i int, h handle) error) error {
+	if len(j.handles) == 1 {
+		return f(0, j.handles[0])
 	}
+	errs := make([]error, len(j.handles))
+	var wg sync.WaitGroup
+	for i, h := range j.handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i, h)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
 
-	// Input queues and close-cascade bookkeeping: each non-source
-	// operator's channels close once all of its upstream instances
-	// have exited, so records drain fully before downstream workers
-	// stop.
-	chans := make(map[string][]chan *batch, g.NumOperators())
-	inWGs := make(map[string]*sync.WaitGroup, g.NumOperators())
-	// One router per keyed operator per deployment, shared between the
-	// exchange and state repartitioning, so a key's records and its
-	// state can never disagree on the owning instance. The routing
-	// table stripes the known key universe (the rescale snapshot's
-	// keys) evenly — or by Config.PartitionWeights — over the
-	// instances; unseen keys use rendezvous hashing.
-	routers := make(map[string]*router)
-	dc := j.dist
-	hosted := func(op string, k int) bool { return dc == nil || dc.assign[op][k] == dc.worker }
-	// In a distributed deployment a receiver's channel also buffers the
-	// remote senders' credit windows: the transport read loop must be
-	// able to deliver every in-flight remote batch without blocking, so
-	// a slow consumer stalls its senders through the credit gate, never
-	// the shared read loop.
-	capacity := j.cfg.ChannelCapacity
-	if dc != nil {
-		capacity += remoteWindow(&j.cfg) * (dc.workers - 1)
-	}
-	// Per downstream operator, the sender-side remote machinery: credit
-	// gates toward remotely hosted instances and the links that carry
-	// the close cascade's DONE frames.
-	remotes := make(map[string][]*remoteDest)
-	doneTo := make(map[string][]*link)
-	for i := 0; i < g.NumOperators(); i++ {
-		op := g.Operator(i)
-		if op.Role == dataflow.RoleSource {
-			continue
-		}
-		if spec := j.pipe.ops[op.Name]; spec.Keyed {
-			if dc != nil {
-				// The routing table is the coordinator's, identical on
-				// every worker — a table rebuilt from this worker's
-				// partial state would route keys differently per
-				// process.
-				routers[op.Name] = routerFromTable(dc.tables[op.Name], j.cur[op.Name])
-			} else {
-				routers[op.Name] = buildRouter(states[op.Name], j.cur[op.Name], j.cfg.PartitionWeights[op.Name])
-			}
-		}
-		cs := make([]chan *batch, j.cur[op.Name])
-		anyLocal := false
-		for k := range cs {
-			if hosted(op.Name, k) {
-				cs[k] = make(chan *batch, capacity)
-				anyLocal = true
-			}
-		}
-		chans[op.Name] = cs
-		if dc != nil {
-			rds := make([]*remoteDest, j.cur[op.Name])
-			seenPeer := make(map[int]bool)
-			for k := range rds {
-				w := dc.assign[op.Name][k]
-				if w == dc.worker {
-					continue
-				}
-				tokens := make(chan struct{}, remoteWindow(&j.cfg))
-				for t := 0; t < cap(tokens); t++ {
-					tokens <- struct{}{}
-				}
-				rds[k] = &remoteDest{link: dc.peers[w], opID: uint16(i), inst: uint16(k), tokens: tokens}
-				if !seenPeer[w] {
-					seenPeer[w] = true
-					doneTo[op.Name] = append(doneTo[op.Name], dc.peers[w])
+// deployLocked pushes one new generation: placement, routing tables
+// built over the known key universe (identical on every worker),
+// per-worker state slices, then the two-phase deploy/start barrier —
+// every worker installs its share before any source emits. seqs, when
+// non-nil, carries per-rank source counters to restore (the
+// from-savepoint path); each hosting worker receives its rank's
+// counter. tr, when non-nil, times the router_rebuild/transfer/restart
+// phases with per-worker child spans. Callers hold j.mu (or own j
+// exclusively).
+func (j *Job) deployLocked(par dataflow.Parallelism, states map[string]map[string]any, seqs map[string][]int64, tr *rescaleTrace) error {
+	j.gen++
+	n := len(j.handles)
+	gens := make([]generation, n)
+	tr.phase(phaseRouterRebuild, func(uint64) {
+		assign := PlanPlacement(par, n)
+		tables := make(map[string]map[string]int)
+		routers := make(map[string]*router)
+		for name, spec := range j.pipe.ops {
+			if spec.Keyed {
+				r := buildRouter(states[name], par[name], j.cfg.PartitionWeights[name])
+				routers[name] = r
+				if r.table != nil {
+					tables[name] = r.table
 				}
 			}
-			remotes[op.Name] = rds
 		}
-		if !anyLocal {
-			continue // close cascade and input wiring live where the instances do
+		for w := range gens {
+			gens[w] = generation{
+				gen: j.gen, worker: w, workers: n, peers: j.addrs, epoch: j.epoch,
+				par: par, assign: assign, tables: tables,
+			}
 		}
-		up := 0
-		for _, u := range g.Upstream(i) {
-			up += j.cur[g.Operator(u).Name]
-		}
-		wg := new(sync.WaitGroup)
-		wg.Add(up)
-		inWGs[op.Name] = wg
-		go func(wg *sync.WaitGroup, cs []chan *batch) {
-			wg.Wait()
-			for _, c := range cs {
-				if c != nil {
-					close(c)
-				}
-			}
-		}(wg, cs)
-	}
-
-	for i := 0; i < g.NumOperators(); i++ {
-		op := g.Operator(i)
-		p := j.cur[op.Name]
-		var outs []outEdge
-		for _, d := range g.Downstream(i) {
-			down := g.Operator(d)
-			spec := j.pipe.ops[down.Name]
-			ae, _ := spec.Codec.(AppendEncoder)
-			oe := outEdge{
-				op:        down.Name,
-				keyed:     spec.Keyed,
-				codec:     spec.Codec,
-				appendEnc: ae,
-				router:    routers[down.Name],
-				chans:     chans[down.Name],
-				done:      inWGs[down.Name],
-			}
-			if dc != nil {
-				oe.opID = uint16(d)
-				oe.gen = dc.gen
-				oe.remote = remotes[down.Name]
-				oe.doneLinks = doneTo[down.Name]
-			}
-			outs = append(outs, oe)
-		}
-		for k := 0; k < p; k++ {
-			if !hosted(op.Name, k) {
-				continue
-			}
-			// Each instance gets its own edge copies: the per-edge
-			// round-robin cursor and the pending output batches are
-			// worker-goroutine state; the cursor is seeded with the
-			// instance index to spread streams across senders.
-			myOuts := append([]outEdge(nil), outs...)
-			for e := range myOuts {
-				myOuts[e].rr = k
-				myOuts[e].pend = make([]*batch, len(myOuts[e].chans))
-			}
-			in := &instance{
-				job:   j,
-				op:    op.Name,
-				idx:   k,
-				sink:  op.Role == dataflow.RoleSink,
-				outs:  myOuts,
-				first: dep.first,
-			}
-			if in.sink && j.obs != nil {
-				in.latHist = j.obs.latHist(op.Name)
-			}
-			in.local.downWait = make([]time.Duration, len(myOuts))
-			if op.Role == dataflow.RoleSource {
-				in.src = j.pipe.sources[op.Name]
-				in.seq = j.seqs[op.Name]
-				in.nsrc = p
-				in.seqNW = 1
-				in.srcLimit = in.src.Limit
-				if dc != nil {
-					// Sequence blocks are striped over the workers that
-					// actually host an instance of this source — a
-					// worker with no instances would own blocks nobody
-					// ever emits.
-					hosts := hostingWorkers(dc.assign[op.Name])
-					rank := 0
-					for i, w := range hosts {
-						if w == dc.worker {
-							rank = i
-						}
+		if n == 1 {
+			gens[0].states = states
+		} else {
+			for op, kv := range states {
+				for k, v := range kv {
+					g := &gens[assign[op][routers[op].owner(k)]]
+					if g.states == nil {
+						g.states = make(map[string]map[string]any)
 					}
-					in.seqNW = len(hosts)
-					in.seqWorker = rank
-					in.seqBlock = j.cfg.SourceSeqBlock
-					in.srcLimit = localSeqLimit(in.src.Limit, rank, len(hosts), j.cfg.SourceSeqBlock)
-					in.startGate = dc.start
-				}
-			} else {
-				in.spec = j.pipe.ops[op.Name]
-				in.in = chans[op.Name][k]
-				if in.spec.Keyed {
-					in.state = partitionState(states[op.Name], routers[op.Name], k)
-				}
-			}
-			dep.insts[op.Name] = append(dep.insts[op.Name], in)
-		}
-	}
-
-	if dc != nil {
-		// Publish the receive table before any instance runs: DATA,
-		// DONE and CREDIT frames for this generation may arrive the
-		// moment the coordinator releases the start gates, and the
-		// transport's read loops resolve everything through this one
-		// atomic pointer.
-		numOps := g.NumOperators()
-		rt := &recvTable{
-			gen:     dc.gen,
-			job:     j,
-			chans:   make([][]chan *batch, numOps),
-			wgs:     make([]*sync.WaitGroup, numOps),
-			credits: make([][]chan struct{}, numOps),
-		}
-		for i := 0; i < numOps; i++ {
-			name := g.Operator(i).Name
-			rt.chans[i] = chans[name]
-			rt.wgs[i] = inWGs[name]
-			if rds := remotes[name]; rds != nil {
-				pools := make([]chan struct{}, len(rds))
-				for k, rd := range rds {
-					if rd != nil {
-						pools[k] = rd.tokens
+					if g.states[op] == nil {
+						g.states[op] = make(map[string]any)
 					}
+					g.states[op][k] = v
 				}
-				rt.credits[i] = pools
 			}
 		}
-		dc.tr.recv.Store(rt)
-	}
-
-	for _, list := range dep.insts {
-		for _, in := range list {
-			dep.wg.Add(1)
-			go func(in *instance) {
-				defer dep.wg.Done()
-				switch {
-				case in.src != nil:
-					in.runSource(dep.stopSources)
-				case in.spec.Window != nil:
-					in.runWindowed()
-				default:
-					in.runOperator()
+		// Rank r of a source maps to the r'th sorted worker hosting it.
+		for src, counters := range seqs {
+			for rank, w := range hostingWorkers(assign[src]) {
+				if rank >= len(counters) {
+					break // shape was validated at restore; belt and braces
 				}
-			}(in)
-		}
-	}
-	j.dep = dep
-}
-
-// partitionState selects the keys instance idx owns under the
-// deployment's router.
-func partitionState(all map[string]any, rt *router, idx int) map[string]any {
-	out := make(map[string]any)
-	for k, v := range all {
-		if rt.owner(k) == idx {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// stopLocked stops the sources and drains the pipeline (the close
-// cascade guarantees every in-flight record is processed), returning
-// the quiesced deployment — the rescale trace's "drain" phase. Callers
-// hold j.mu.
-func (j *Job) stopLocked() *deployment {
-	dep := j.dep
-	dep.first.cancel()
-	close(dep.stopSources)
-	dep.wg.Wait()
-	j.dep = nil
-	return dep
-}
-
-// snapshotStates merges a quiesced deployment's keyed state per
-// stateful operator — the "snapshot" phase. Instance goroutines have
-// exited, so their state maps are safe to read; keys are disjoint
-// across instances by the deployment's router.
-func (j *Job) snapshotStates(dep *deployment) map[string]map[string]any {
-	states := make(map[string]map[string]any)
-	for name, list := range dep.insts {
-		spec := j.pipe.ops[name]
-		if spec == nil || !spec.Keyed {
-			continue
-		}
-		merged := make(map[string]any)
-		for _, in := range list {
-			for k, v := range in.state {
-				merged[k] = v
+				if gens[w].seqs == nil {
+					gens[w].seqs = make(map[string]int64)
+				}
+				gens[w].seqs[src] = counters[rank]
 			}
 		}
-		states[name] = merged
+	})
+	var err error
+	tr.phase(phaseTransfer, func(parent uint64) {
+		err = j.each(func(w int, h handle) error {
+			s0 := tr.now()
+			spans, err := h.deploy(&gens[w], tr.ctx(parent))
+			if err != nil {
+				return err
+			}
+			j.child(tr, "transfer", w, parent, s0, spans)
+			return nil
+		})
+	})
+	if err != nil {
+		return err
 	}
-	return states
+	tr.phase(phaseRestart, func(parent uint64) {
+		err = j.each(func(w int, h handle) error {
+			s0 := tr.now()
+			if err := h.start(j.gen); err != nil {
+				return err
+			}
+			j.child(tr, "restart", w, parent, s0, nil)
+			return nil
+		})
+	})
+	if err != nil {
+		return err
+	}
+	j.cur = par.Clone()
+	return nil
 }
 
-// teardownLocked stops, drains, and snapshots the current deployment.
-// Callers hold j.mu.
-func (j *Job) teardownLocked() map[string]map[string]any {
-	return j.snapshotStates(j.stopLocked())
+// drainLocked drains every worker — all of them, so the cross-process
+// close cascade completes everywhere — with per-worker child spans
+// under parent. Callers hold j.mu.
+func (j *Job) drainLocked(tr *rescaleTrace, parent uint64) ([]drained, error) {
+	out := make([]drained, len(j.handles))
+	err := j.each(func(w int, h handle) error {
+		s0 := tr.now()
+		d, err := h.drain(tr.ctx(parent))
+		if err != nil {
+			return err
+		}
+		out[w] = d
+		j.child(tr, "drain", w, parent, s0, d.spans)
+		return nil
+	})
+	return out, err
 }
 
-// Rescale redeploys the job at a new parallelism via the paper's
-// savepoint-and-restore shape: drain, snapshot keyed state,
-// repartition it under the new configuration, restart. The pause
-// pollutes the open observation window, so the window is discarded and
-// restarted at the new deployment (settle semantics — the next
-// interval starts clean, as the Flink integration's §4.1 metrics
-// reset).
+// child records worker w's span under a phase that fanned out to the
+// workers. A lone worker's span would only repeat the phase, so it is
+// kept only when that worker reported spans of its own.
+func (j *Job) child(tr *rescaleTrace, phase string, w int, parent uint64, start int64, spans []wireSpan) {
+	if len(j.handles) > 1 || len(spans) > 0 {
+		tr.child(phase, w, parent, start, tr.now(), spans)
+	}
+}
+
+// mergeStates merges per-worker state snapshots (disjoint key sets —
+// each key's state lives with its owning instance).
+func mergeStates(ds []drained) map[string]map[string]any {
+	if len(ds) == 1 {
+		return ds[0].states
+	}
+	merged := make(map[string]map[string]any)
+	for _, d := range ds {
+		for op, kv := range d.states {
+			if merged[op] == nil {
+				merged[op] = make(map[string]any)
+			}
+			for k, v := range kv {
+				merged[op][k] = v
+			}
+		}
+	}
+	return merged
+}
+
+// cycleLocked is the paper's savepoint-and-restore cycle that Rescale
+// and Savepoint share: drain, snapshot the merged keyed state, run
+// persist (Savepoint only), redeploy at par. The pause pollutes the
+// open observation window, so the window restarts at the new
+// deployment (settle semantics — the next interval starts clean, as
+// the Flink integration's §4.1 metrics reset). A persist error is
+// returned after the job is back up. Callers hold j.mu.
+func (j *Job) cycleLocked(par dataflow.Parallelism, tr *rescaleTrace, persist func([]drained, map[string]map[string]any) error) error {
+	var ds []drained
+	var err error
+	tr.phase(phaseDrain, func(parent uint64) { ds, err = j.drainLocked(tr, parent) })
+	if err != nil {
+		return err
+	}
+	var states map[string]map[string]any
+	tr.phase(phaseSnapshot, func(uint64) { states = mergeStates(ds) })
+	var perr error
+	if persist != nil {
+		perr = persist(ds, states)
+	}
+	if err := j.deployLocked(par, states, nil, tr); err != nil {
+		return err
+	}
+	j.winStart = j.Now()
+	if tr != nil {
+		go j.resolveFirstRecord(tr, tr.now(), j.gen)
+	}
+	return perr
+}
+
+// Rescale redeploys the job at a new parallelism: drain everywhere
+// (the close cascade flushes every in-flight record), snapshot and
+// merge keyed state, repartition it under the new routing tables, and
+// push the next generation.
 func (j *Job) Rescale(newP dataflow.Parallelism) error {
 	if err := newP.Validate(j.pipe.graph); err != nil {
 		return err
+	}
+	if j.addrs != nil {
+		if err := validateDistributed(j.pipe, newP, len(j.handles)); err != nil {
+			return err
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.stopped {
 		return ErrStopped
 	}
-	tr := j.obs.beginRescaleTrace(j.rescales + 1)
-	var dep *deployment
-	tr.phase(phaseDrain, func(uint64) { dep = j.stopLocked() })
-	var states map[string]map[string]any
-	tr.phase(phaseSnapshot, func(uint64) { states = j.snapshotStates(dep) })
-	j.cur = newP.Clone()
-	tr.phase(phaseRestart, func(uint64) { j.deployLocked(states) })
-	j.rescales++
-	j.winStart = j.Now()
-	if tr != nil {
-		restartEnd := tr.now()
-		first := j.dep.first
-		go func() {
-			at, ok := first.wait(firstRecordWait)
-			tr.finish(restartEnd, at, ok)
-		}()
+	if err := j.cycleLocked(newP, j.obs.beginRescaleTrace(j.rescales+1), nil); err != nil {
+		return err
 	}
+	j.rescales++
 	return nil
+}
+
+// resolveFirstRecord completes a redeploy's trace with the first record
+// generation gen processed anywhere. Once any worker has noted a time,
+// workers still pending can only note later ones, so the minimum over
+// the first round with a hit is the job-wide first record. A lone
+// in-process handle is waited on; remote handles are polled. Gives up
+// (leaving the trace incomplete) after firstRecordWait, on a control
+// error, or when gen is obsolete.
+func (j *Job) resolveFirstRecord(tr *rescaleTrace, restartEnd int64, gen uint32) {
+	deadline := time.Now().Add(firstRecordWait)
+	for {
+		var mu sync.Mutex
+		best := int64(-1)
+		var ready []<-chan struct{}
+		err := j.each(func(_ int, h handle) error {
+			at, ch, err := h.firstRecord(gen)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if at > 0 && (best < 0 || at < best) {
+				best = at
+			}
+			if at == 0 {
+				ready = append(ready, ch)
+			}
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		if best > 0 {
+			tr.finish(restartEnd, best, true)
+			return
+		}
+		if len(ready) == 1 && ready[0] != nil {
+			select {
+			case <-ready[0]:
+			case <-time.After(time.Until(deadline)):
+			}
+		} else {
+			time.Sleep(50 * time.Millisecond)
+		}
+		if !time.Now().Before(deadline) {
+			break
+		}
+		// Checked only after a wait: the redeploy that started this
+		// resolver holds j.mu until it returns, and blocking on the
+		// lock here would add a wake-up to every redeploy.
+		j.mu.Lock()
+		stale := j.stopped || j.gen != gen
+		j.mu.Unlock()
+		if stale {
+			return
+		}
+	}
+	tr.finish(restartEnd, 0, false)
 }
 
 // RescaleTraces returns the retained rescale span timelines, oldest
@@ -588,70 +529,78 @@ func (j *Job) RescaleTraces() []obs.TraceView {
 	return j.obs.rescale.ring.Views()
 }
 
-// Stop tears the job down and returns the final keyed state of every
-// stateful operator (operator -> key -> state). It is idempotent.
+// Stop drains the job and returns the final keyed state of every
+// stateful operator (operator -> key -> state). It is idempotent. The
+// control connections of a distributed job stay up until Close.
 func (j *Job) Stop() map[string]map[string]any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.stopped {
 		return j.final
 	}
-	j.final = j.teardownLocked()
 	j.stopped = true
+	if ds, err := j.drainLocked(nil, 0); err == nil {
+		j.final = mergeStates(ds)
+	}
+	if j.final == nil {
+		j.final = make(map[string]map[string]any)
+	}
+	for name, spec := range j.pipe.ops {
+		if spec.Keyed && j.final[name] == nil {
+			j.final[name] = make(map[string]any)
+		}
+	}
 	return j.final
 }
 
+// Close releases the control connections of a distributed job; it does
+// nothing for an in-process one. Call after Stop.
+func (j *Job) Close() {
+	for _, h := range j.handles {
+		h.close()
+	}
+}
+
 // Wait blocks until every instance has exited on its own — i.e. every
-// bounded source hit its Limit and the pipeline drained — or the job
-// was stopped. It does not stop the job; call Stop afterwards to
-// collect final state. Rescales are transparent: a drained-for-rescale
-// deployment does not satisfy Wait, which moves on to the replacement
-// generation.
+// bounded source hit its Limit and the pipeline drained on every
+// worker — or the job was stopped. It does not stop the job; call Stop
+// afterwards to collect final state. Rescales are transparent: a
+// drained-for-rescale generation does not satisfy Wait, which moves on
+// to the replacement.
 func (j *Job) Wait() {
 	for {
 		j.mu.Lock()
-		dep := j.dep
-		j.mu.Unlock()
-		if dep == nil {
-			return // stopped
+		if j.stopped {
+			j.mu.Unlock()
+			return
 		}
-		dep.wg.Wait()
+		gen := j.gen
+		j.mu.Unlock()
+		var mu sync.Mutex
+		natural := true
+		err := j.each(func(_ int, h handle) error {
+			n, err := h.wait()
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			natural = natural && n
+			mu.Unlock()
+			return nil
+		})
+		if err != nil || natural {
+			return
+		}
+		// Not natural: a drain happened. A rescale holds j.mu until the
+		// next generation is live, so by the time gen can be read again
+		// it has moved; an unchanged gen means Stop.
 		j.mu.Lock()
-		current := j.dep == dep
+		same, stopped := j.gen == gen, j.stopped
 		j.mu.Unlock()
-		if current {
-			return // exhausted naturally and never replaced
+		if stopped || same {
+			return
 		}
 	}
-}
-
-// waitCurrent blocks until the current deployment's instances have all
-// exited and reports whether that deployment was still current when
-// they did — i.e. the sources exhausted naturally rather than being
-// drained for a rescale. Used by the distributed worker's wait RPC.
-func (j *Job) waitCurrent() bool {
-	j.mu.Lock()
-	dep := j.dep
-	j.mu.Unlock()
-	if dep == nil {
-		return false
-	}
-	dep.wg.Wait()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dep == dep
-}
-
-// drain stops and drains the current deployment, returning the merged
-// keyed state — the worker-side half of a distributed rescale or stop.
-// Nil if there is nothing deployed.
-func (j *Job) drain() map[string]map[string]any {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.stopped || j.dep == nil {
-		return nil
-	}
-	return j.teardownLocked()
 }
 
 // Interval is everything one observation window produced — the
@@ -670,11 +619,11 @@ type Interval struct {
 	Latencies            []metrics.LatencySample
 }
 
-// wireAcc is one instance's taken accumulator in wire form: a worker of
-// a distributed deployment ships these to the coordinator at collect
-// time, and the single-process Collect goes through the same struct so
-// both runtimes build intervals with byte-identical logic (decision
-// parity between local and distributed runs depends on it).
+// wireAcc is one instance's taken accumulator in wire form: every
+// worker handle returns these at collect time — a remote one ships
+// them over its control connection — so Collect builds intervals with
+// byte-identical logic however the job is placed (decision parity
+// between local and distributed runs depends on it).
 type wireAcc struct {
 	Op            string                  `json:"op"`
 	Idx           int                     `json:"idx"`
@@ -687,43 +636,10 @@ type wireAcc struct {
 	Lats          []metrics.LatencySample `json:"lats,omitempty"`
 }
 
-// takeAccsLocked takes every deployed instance's accumulator (resetting
-// them — the next window starts now) in wire form. Callers hold j.mu
-// with j.dep non-nil.
-func (j *Job) takeAccsLocked() []wireAcc {
-	var out []wireAcc
-	for name, list := range j.dep.insts {
-		_, isSrc := j.pipe.sources[name]
-		for _, in := range list {
-			s := in.acc.take()
-			wa := wireAcc{
-				Op:    name,
-				Idx:   in.idx,
-				IsSrc: isSrc,
-				DurNanos: [5]int64{
-					int64(s.dur.Deserialization), int64(s.dur.Processing), int64(s.dur.Serialization),
-					int64(s.dur.WaitingInput), int64(s.dur.WaitingOutput),
-				},
-				Processed: s.processed,
-				Pushed:    s.pushed,
-				Lats:      s.lats,
-			}
-			for e := range in.outs {
-				wa.DownOps = append(wa.DownOps, in.outs[e].op)
-			}
-			for _, w := range s.downWait {
-				wa.DownWaitNanos = append(wa.DownWaitNanos, int64(w))
-			}
-			out = append(out, wa)
-		}
-	}
-	return out
-}
-
-// buildInterval turns taken accumulators into an Interval — the shared
-// build phase of the single-process Job.Collect and the distributed
-// Cluster.Collect. It needs no lock: it works on the taken snapshots
-// and the immutable pipeline, plus the user's Rate function.
+// buildInterval turns taken accumulators into an Interval — Collect's
+// build phase, and the worker-local gauge refresh. It needs no lock: it
+// works on the taken snapshots and the immutable pipeline, plus the
+// user's Rate function.
 func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float64, par dataflow.Parallelism) (Interval, error) {
 	iv := Interval{
 		Start:                start,
@@ -802,9 +718,9 @@ func buildInterval(pipe *Pipeline, cfg Config, accs []wireAcc, start, end float6
 }
 
 // Collect cuts the open observation window: one WindowMetrics per
-// instance from its wall-clock counters, plus the external signals
-// (target and achieved source rates, backpressure flags, latency
-// samples). The next window starts at the cut.
+// instance from its wall-clock counters on every worker, plus the
+// external signals (target and achieved source rates, backpressure
+// flags, latency samples). The next window starts at the cut.
 func (j *Job) Collect() (Interval, error) {
 	j.mu.Lock()
 	if j.stopped {
@@ -815,16 +731,32 @@ func (j *Job) Collect() (Interval, error) {
 	start := j.winStart
 	par := j.cur.Clone()
 	var accs []wireAcc
-	if j.dep != nil && end > start {
+	var links []LinkStats
+	if end > start {
 		// Take every accumulator and advance the window before building
 		// a single WindowMetrics: a build error then discards the
 		// interval wholesale — all counters reset and winStart advanced
 		// together — instead of losing a random prefix of instances
 		// while the next interval's span still includes this one.
-		accs = j.takeAccsLocked()
+		var mu sync.Mutex
+		err := j.each(func(_ int, h handle) error {
+			a, l, err := h.collect()
+			mu.Lock()
+			accs = append(accs, a...)
+			links = append(links, l...)
+			mu.Unlock()
+			return err
+		})
+		if err != nil {
+			j.mu.Unlock()
+			return Interval{}, err
+		}
 		j.winStart = end
 	}
 	j.mu.Unlock()
+	if len(links) > 0 {
+		j.mirrorLinks(links)
+	}
 	iv, err := buildInterval(j.pipe, j.cfg, accs, start, end, par)
 	if err != nil {
 		return Interval{}, err

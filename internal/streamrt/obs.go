@@ -40,11 +40,12 @@ const latencySampleStride = 1024
 // activities, exported as fractions of the observation window.
 var timePhases = [5]string{"deserialization", "processing", "serialization", "waiting_input", "waiting_output"}
 
-// jobObs is a Job's pre-resolved metric handles. Everything the hot
-// path touches is resolved here, once, at job construction — workers
-// never take the registry lock. A nil *jobObs (Config.Metrics unset)
-// disables telemetry entirely; the hot path pays one nil check per
-// batch.
+// jobObs is a job's pre-resolved metric handles, one per registry: a
+// Job and its in-process handle share one, and a Worker holds one for
+// the instances it hosts. Everything the hot path touches is resolved
+// here, once, at construction — workers never take the registry lock.
+// A nil *jobObs (Config.Metrics unset) disables telemetry entirely; the
+// hot path pays one nil check per batch.
 type jobObs struct {
 	reg *obs.Registry
 
@@ -71,7 +72,7 @@ type jobObs struct {
 	srcObserved map[string]*obs.Gauge
 }
 
-func newJobObs(reg *obs.Registry, pipe *Pipeline, rescales func() int) *jobObs {
+func newJobObs(reg *obs.Registry, pipe *Pipeline) *jobObs {
 	o := &jobObs{
 		reg:         reg,
 		latHists:    make(map[string]*obs.Histogram),
@@ -95,8 +96,6 @@ func newJobObs(reg *obs.Registry, pipe *Pipeline, rescales func() int) *jobObs {
 		"Records carried by flushed exchange batches (flushed_records/batch_flushes = mean batch size).")
 	o.stalls = reg.Counter("streamrt_backpressure_stalls_total",
 		"Batch sends that blocked on a full downstream queue.")
-	reg.CounterFunc("streamrt_rescales_total", "Redeployments performed by the job.",
-		func() float64 { return float64(rescales()) })
 
 	g := pipe.graph
 	for i := 0; i < g.NumOperators(); i++ {

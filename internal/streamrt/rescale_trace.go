@@ -8,9 +8,10 @@ import (
 	"ds2/internal/obs"
 )
 
-// The rescale phase vocabulary. A single-process Job times drain,
-// snapshot, restart and first_record; a Cluster adds router_rebuild,
-// transfer (per-worker state shipment) and per-worker child spans under
+// The rescale phase vocabulary. Every rescale, in-process or
+// distributed, times drain, snapshot, router_rebuild, transfer
+// (handing each worker its share of the state), restart and
+// first_record, with one child span per worker handle under
 // drain/transfer/restart. Phase names double as the `phase` label of
 // streamrt_rescale_phase_seconds.
 const (
@@ -85,6 +86,15 @@ func (rt *rescaleTrace) now() int64 {
 	return rt.t.Now()
 }
 
+// ctx is the trace context a handle call under span parent carries to
+// its worker (zero when telemetry is off).
+func (rt *rescaleTrace) ctx(parent uint64) traceCtx {
+	if rt == nil {
+		return traceCtx{}
+	}
+	return traceCtx{ID: rt.t.ID(), Span: parent}
+}
+
 // phase runs fn as one top-level phase span and observes its duration
 // into the phase histogram. fn receives the span's pre-allocated ID so
 // fan-out work inside the phase can parent child spans under it.
@@ -101,16 +111,17 @@ func (rt *rescaleTrace) phase(name string, fn func(parent uint64)) {
 	rt.ro.phaseHist(name).Observe(float64(end-start) / 1e9)
 }
 
-// child records one per-worker span (typically an RPC measured at the
-// coordinator) under parent, then re-bases the worker-reported spans —
+// child records one per-worker span, "<phase>/w<worker>" (typically an
+// RPC measured at the coordinator), under parent, then re-bases the worker-reported spans —
 // offsets from the worker's handler start — onto this span's window.
 // The worker's clock never mixes with the coordinator's: children are
 // anchored at the RPC's start and clamped to its end, which keeps the
 // tree causally ordered even across hosts with skewed wall clocks.
-func (rt *rescaleTrace) child(name string, worker int, parent uint64, start, end int64, spans []wireSpan) {
+func (rt *rescaleTrace) child(phase string, worker int, parent uint64, start, end int64, spans []wireSpan) {
 	if rt == nil {
 		return
 	}
+	name := fmt.Sprintf("%s/w%d", phase, worker)
 	id := rt.t.Add(obs.Span{Parent: parent, Name: name, Worker: worker, StartNs: start, EndNs: end})
 	for _, ws := range spans {
 		s, e := start+ws.Start, start+ws.End

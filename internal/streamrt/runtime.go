@@ -11,28 +11,11 @@ import (
 	"ds2/internal/core"
 	"ds2/internal/dataflow"
 	"ds2/internal/metrics"
-	"ds2/internal/obs"
 	"ds2/internal/service"
 )
 
-// Engine is the part of the live-runtime surface the control adapters
-// need: pace and cut observation windows, redeploy, report the deployed
-// configuration. Both the single-process *Job and the distributed
-// *Cluster implement it, so the Controller and ds2d drive either
-// through the same Runtime.
-type Engine interface {
-	NextInterval(d float64) (Interval, error)
-	Rescale(p dataflow.Parallelism) error
-	Parallelism() dataflow.Parallelism
-}
-
-var (
-	_ Engine = (*Job)(nil)
-	_ Engine = (*Cluster)(nil)
-)
-
-// Runtime adapts a live engine (a Job, or a distributed Cluster) to
-// both control surfaces:
+// Runtime adapts a live Job — in-process or distributed — to both
+// control surfaces:
 //
 //   - controlloop.Runtime, so the standard Controller drives the job
 //     in-process — Advance paces on the wall clock (the job's real
@@ -43,7 +26,7 @@ var (
 //     scaling service and is driven through the ingestion/poll/ack
 //     API instead — indistinguishable from any other remote job.
 type Runtime struct {
-	eng Engine
+	job *Job
 
 	// Savepoint support (SavepointTo): the store service-requested
 	// savepoints persist into, the name prefix, and a counter so each
@@ -53,38 +36,13 @@ type Runtime struct {
 	spCount  atomic.Int64
 }
 
-// Savepointer is the savepoint surface the engines share: both *Job
-// and *Cluster drain, persist to the store under name, and restart.
-type Savepointer interface {
-	Savepoint(store CheckpointStore, name string) error
-}
-
-var (
-	_ Savepointer = (*Job)(nil)
-	_ Savepointer = (*Cluster)(nil)
-)
-
 // NewRuntime wraps a running Job.
-func NewRuntime(j *Job) *Runtime { return &Runtime{eng: j} }
-
-// NewEngineRuntime wraps any live engine — in particular a *Cluster,
-// making a multi-process deployment drivable by the Controller and
-// attachable to ds2d exactly like a single-process job.
-func NewEngineRuntime(e Engine) *Runtime { return &Runtime{eng: e} }
-
-// Engine exposes the wrapped engine.
-func (r *Runtime) Engine() Engine { return r.eng }
-
-// Job exposes the wrapped job (nil when the runtime wraps a Cluster).
-func (r *Runtime) Job() *Job {
-	j, _ := r.eng.(*Job)
-	return j
-}
+func NewRuntime(j *Job) *Runtime { return &Runtime{job: j} }
 
 // Advance blocks until the job has run d more seconds of wall-clock
 // time, then collects the interval's observation.
 func (r *Runtime) Advance(d float64) (controlloop.Observation, error) {
-	iv, err := r.eng.NextInterval(d)
+	iv, err := r.job.NextInterval(d)
 	if err != nil {
 		if errors.Is(err, ErrStopped) {
 			return controlloop.Observation{}, controlloop.ErrStopped
@@ -94,9 +52,9 @@ func (r *Runtime) Advance(d float64) (controlloop.Observation, error) {
 	return iv.Observation(), nil
 }
 
-// Apply deploys the action's configuration via the engine's Rescale.
+// Apply deploys the action's configuration via the job's Rescale.
 func (r *Runtime) Apply(act *core.Action) error {
-	if err := r.eng.Rescale(act.New); err != nil {
+	if err := r.job.Rescale(act.New); err != nil {
 		if errors.Is(err, ErrStopped) {
 			return controlloop.ErrStopped
 		}
@@ -106,18 +64,17 @@ func (r *Runtime) Apply(act *core.Action) error {
 }
 
 // Parallelism returns the deployed configuration.
-func (r *Runtime) Parallelism() dataflow.Parallelism { return r.eng.Parallelism() }
+func (r *Runtime) Parallelism() dataflow.Parallelism { return r.job.Parallelism() }
 
 // NextReport implements service.AttachedEngine: one policy interval's
 // instrumentation in the scaling service's wire format. A stopped job
 // surfaces as controlloop.ErrStopped, which the attached driver treats
-// as a clean end (it still fetches the service-side trace). Engines
-// that trace rescales (Job and Cluster both do) piggyback their
-// retained timelines on every report; the service dedups by trace ID,
-// so resending the full ring is idempotent and delivers completions
-// of timelines first shipped in flight.
+// as a clean end (it still fetches the service-side trace). The job's
+// retained rescale timelines piggyback on every report; the service
+// dedups by trace ID, so resending the full ring is idempotent and
+// delivers completions of timelines first shipped in flight.
 func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
-	iv, err := r.eng.NextInterval(intervalSec)
+	iv, err := r.job.NextInterval(intervalSec)
 	if err != nil {
 		if errors.Is(err, ErrStopped) {
 			return service.Report{}, controlloop.ErrStopped
@@ -125,9 +82,7 @@ func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
 		return service.Report{}, err
 	}
 	rep := iv.Report()
-	if tv, ok := r.eng.(interface{ RescaleTraces() []obs.TraceView }); ok {
-		rep.Rescales = tv.RescaleTraces()
-	}
+	rep.Rescales = r.job.RescaleTraces()
 	return rep, nil
 }
 
@@ -136,17 +91,17 @@ func (r *Runtime) NextReport(intervalSec float64) (service.Report, error) {
 // exactly what it is asked). Like NextReport, a stopped job surfaces
 // as controlloop.ErrStopped so the attached driver ends cleanly.
 func (r *Runtime) Rescale(p dataflow.Parallelism) (dataflow.Parallelism, error) {
-	if err := r.eng.Rescale(p); err != nil {
+	if err := r.job.Rescale(p); err != nil {
 		if errors.Is(err, ErrStopped) {
 			return nil, controlloop.ErrStopped
 		}
 		return nil, err
 	}
-	return r.eng.Parallelism(), nil
+	return r.job.Parallelism(), nil
 }
 
 // SavepointTo equips the runtime to execute service-requested
-// savepoints: each request drains the engine, persists one savepoint
+// savepoints: each request drains the job, persists one savepoint
 // named <prefix>-N into store, and restarts. Without it, savepoint
 // requests from the service are answered with an error instead of a
 // checkpoint. It returns the runtime for chaining.
@@ -162,14 +117,14 @@ func (r *Runtime) SavepointTo(store CheckpointStore, prefix string) *Runtime {
 // Savepoint implements service.SavepointEngine: cut one durable
 // savepoint into the configured store and return where it landed (the
 // file path for a DirStore, the store name otherwise). A stopped
-// engine surfaces as controlloop.ErrStopped so the attached driver
+// job surfaces as controlloop.ErrStopped so the attached driver
 // ends cleanly.
 func (r *Runtime) Savepoint() (string, error) {
 	if r.spStore == nil {
 		return "", errors.New("streamrt: runtime has no checkpoint store (use SavepointTo)")
 	}
 	name := fmt.Sprintf("%s-%d", r.spPrefix, r.spCount.Add(1))
-	if err := r.eng.(Savepointer).Savepoint(r.spStore, name); err != nil {
+	if err := r.job.Savepoint(r.spStore, name); err != nil {
 		if errors.Is(err, ErrStopped) {
 			return "", controlloop.ErrStopped
 		}
@@ -186,12 +141,6 @@ func (r *Runtime) Savepoint() (string, error) {
 // service finishes the decision loop.
 func Attach(c *service.Client, job *Job, spec service.JobSpec) *service.AttachedJob {
 	return service.NewAttachedJob(c, NewRuntime(job), spec)
-}
-
-// AttachEngine is Attach for any live engine — notably a distributed
-// *Cluster, which ds2d then drives exactly like a single-process job.
-func AttachEngine(c *service.Client, eng Engine, spec service.JobSpec) *service.AttachedJob {
-	return service.NewAttachedJob(c, NewEngineRuntime(eng), spec)
 }
 
 // Observation converts the interval for the in-process Controller.

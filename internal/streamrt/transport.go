@@ -259,7 +259,7 @@ type recvOrigin struct {
 // a lock.
 type recvTable struct {
 	gen     uint32
-	job     *Job
+	job     *localHandle
 	chans   [][]chan *batch   // [opID][globalInstance]; nil when not hosted here
 	wgs     []*sync.WaitGroup // [opID]; nil when op not hosted here
 	credits [][]chan struct{} // [opID][globalInstance]; sender-side token pools
@@ -305,7 +305,7 @@ func (tr *transport) newStats(label string) *linkStats {
 		// Export through the registry instead of the standalone
 		// counters, so a worker process's /metrics carries per-link
 		// traffic directly.
-		registerLinkStats(tr.reg, st)
+		registerLinkStats(tr.reg, label, st.snapshot)
 	}
 	tr.mu.Lock()
 	tr.stats = append(tr.stats, st)
@@ -313,30 +313,42 @@ func (tr *transport) newStats(label string) *linkStats {
 	return st
 }
 
-// registerLinkStats exposes one link's counters as the per-link metric
-// families. The obs registry hands back one counter per identity, so
-// the linkStats fields are CounterFunc-mirrored rather than replaced.
-func registerLinkStats(reg *obs.Registry, st *linkStats) {
+// registerLinkStats exposes one link's counters, read through get at
+// scrape time, as the per-link metric families: a worker registers its
+// own links, a coordinator the mirrors of its workers' links.
+func registerLinkStats(reg *obs.Registry, label string, get func() LinkStats) {
 	reg.CounterFunc("streamrt_link_bytes_total",
 		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.txBytes.Value()) },
-		obs.L("link", st.label), obs.L("dir", "tx"))
+		func() float64 { return float64(get().TxBytes) },
+		obs.L("link", label), obs.L("dir", "tx"))
 	reg.CounterFunc("streamrt_link_bytes_total",
 		"Bytes moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.rxBytes.Value()) },
-		obs.L("link", st.label), obs.L("dir", "rx"))
+		func() float64 { return float64(get().RxBytes) },
+		obs.L("link", label), obs.L("dir", "rx"))
 	reg.CounterFunc("streamrt_link_frames_total",
 		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.txFrames.Value()) },
-		obs.L("link", st.label), obs.L("dir", "tx"))
+		func() float64 { return float64(get().TxFrames) },
+		obs.L("link", label), obs.L("dir", "tx"))
 	reg.CounterFunc("streamrt_link_frames_total",
 		"Frames moved over a worker-to-worker exchange link, by direction.",
-		func() float64 { return float64(st.rxFrames.Value()) },
-		obs.L("link", st.label), obs.L("dir", "rx"))
+		func() float64 { return float64(get().RxFrames) },
+		obs.L("link", label), obs.L("dir", "rx"))
 	reg.CounterFunc("streamrt_link_stalls_total",
 		"Remote batch sends that blocked waiting for flow-control credit.",
-		func() float64 { return float64(st.stalls.Value()) },
-		obs.L("link", st.label))
+		func() float64 { return float64(get().Stalls) },
+		obs.L("link", label))
+}
+
+// snapshot reads the link's cumulative counters.
+func (st *linkStats) snapshot() LinkStats {
+	return LinkStats{
+		Link:     st.label,
+		TxBytes:  st.txBytes.Value(),
+		TxFrames: st.txFrames.Value(),
+		RxBytes:  st.rxBytes.Value(),
+		RxFrames: st.rxFrames.Value(),
+		Stalls:   st.stalls.Value(),
+	}
 }
 
 func (tr *transport) track(l *link) bool {
@@ -636,14 +648,7 @@ func (tr *transport) linkSnapshots() []LinkStats {
 	defer tr.mu.Unlock()
 	out := make([]LinkStats, 0, len(tr.stats))
 	for _, st := range tr.stats {
-		out = append(out, LinkStats{
-			Link:     st.label,
-			TxBytes:  st.txBytes.Value(),
-			TxFrames: st.txFrames.Value(),
-			RxBytes:  st.rxBytes.Value(),
-			RxFrames: st.rxFrames.Value(),
-			Stalls:   st.stalls.Value(),
-		})
+		out = append(out, st.snapshot())
 	}
 	return out
 }

@@ -155,7 +155,7 @@ func (a *acc) merge(l *localAcc) {
 // bounded input channel (non-sources), one instrumentation
 // accumulator.
 type instance struct {
-	job  *Job
+	job  *localHandle // the in-process handle hosting this instance's generation
 	op   string
 	idx  int
 	sink bool
